@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench fuzz fmt vet lint lint-smoke staticcheck govulncheck loadgen loadgen-sweep loadgen-prefetch loadgen-cluster profile ci
+.PHONY: all build test race bench perfbench-smoke fuzz fmt vet lint lint-smoke staticcheck govulncheck loadgen loadgen-sweep loadgen-prefetch loadgen-cluster profile ci
 
 all: build
 
@@ -20,6 +20,14 @@ race:
 # serial/parallel build and evaluate pairs.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .
+
+# The ask-path benchmark's own tests (perfbench is a separate module, so
+# `go test ./...` at the root never builds it): tiny-store runs of every
+# workload, including the answer check that requires byte-identical
+# exact and cold answers against a BypassCache reference. About 15 s,
+# offline.
+perfbench-smoke:
+	cd perfbench && $(GO) test ./...
 
 # fmt fails (listing the offending files) when anything is not
 # gofmt-clean, matching the CI check.
@@ -164,4 +172,4 @@ profile:
 		-accesses 4000 -request-timeout $(LOADGEN_TIMEOUT) \
 		-cpuprofile cpu.pprof -memprofile mem.pprof -out BENCH_loadgen_profile.json
 
-ci: build fmt vet lint lint-smoke race bench fuzz loadgen loadgen-sweep loadgen-prefetch loadgen-cluster
+ci: build fmt vet lint lint-smoke race bench perfbench-smoke fuzz loadgen loadgen-sweep loadgen-prefetch loadgen-cluster

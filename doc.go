@@ -24,7 +24,7 @@
 //     workloads and the replay harness producing eviction-annotated
 //     records.
 //   - internal/db — the external trace database: immutable once
-//     built, gob-persisted, per-PC/set indexed.
+//     built, stored by column, gob-persisted, per-PC/set indexed.
 //   - internal/nlu, internal/queryir — the semantic parser compiling
 //     questions into typed, executable retrieval programs.
 //   - internal/retriever — Sieve, Ranger and the embedding-RAG

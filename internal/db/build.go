@@ -7,7 +7,6 @@ import (
 	"cachemind/internal/policy"
 	"cachemind/internal/replay"
 	"cachemind/internal/sim"
-	"cachemind/internal/trace"
 	"cachemind/internal/workload"
 )
 
@@ -64,9 +63,10 @@ func Build(cfg BuildConfig) (*Store, error) {
 
 	// Workloads fan out, and within each workload the policy replays
 	// fan out (both bounded by Parallelism — the knob is per fan-out
-	// level). Each workload's trace, training stream and next-use
-	// oracle are generated once and shared read-only by its policy
-	// replays, then released when the workload's frames are done — so
+	// level). Each workload's trace, training stream and stream
+	// annotations (next-use oracle, reuse distances, recencies) are
+	// generated once and shared read-only by its policy replays, then
+	// released when the workload's frames are done — so
 	// Parallelism=1 keeps the old serial loop's one-workload-resident
 	// memory profile. Frames land in input order at every setting.
 	frameGroups, err := parallel.Map(len(cfg.Workloads), cfg.Parallelism, func(wi int) ([]*Frame, error) {
@@ -75,19 +75,23 @@ func Build(cfg BuildConfig) (*Store, error) {
 		// Learned policies train on a disjoint stream of the same
 		// workload (different seed), never on the evaluation trace.
 		train := w.Generate(cfg.AccessesPerTrace/2, cfg.Seed+1)
-		oracle := trace.NextUseOracle(accs)
+		ann := replay.Annotate(accs)
 		return parallel.Map(len(cfg.Policies), cfg.Parallelism, func(pi int) (*Frame, error) {
 			polName := cfg.Policies[pi]
 			pol, err := policy.New(polName, cfg.LLC, policy.Options{
 				Seed:   cfg.Seed,
-				Oracle: oracle,
+				Oracle: ann.NextUse,
 				Train:  train,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("db: building %s/%s: %w", w.Name(), polName, err)
 			}
-			res := replay.Run(accs, cfg.LLC, pol, replay.Options{SnapshotEvery: cfg.SnapshotEvery})
-			return frameFromReplay(w, polName, res), nil
+			res := replay.Run(accs, cfg.LLC, pol, replay.Options{SnapshotEvery: cfg.SnapshotEvery, Annotations: &ann})
+			f, err := frameFromReplay(w, polName, res)
+			if err != nil {
+				return nil, fmt.Errorf("db: building %s/%s: %w", w.Name(), polName, err)
+			}
+			return f, nil
 		})
 	})
 	if err != nil {
@@ -112,7 +116,7 @@ func MustBuild(cfg BuildConfig) *Store {
 	return s
 }
 
-func frameFromReplay(w *workload.Workload, polName string, res replay.Result) *Frame {
+func frameFromReplay(w *workload.Workload, polName string, res replay.Result) (*Frame, error) {
 	sum := FrameSummary{
 		Accesses:        res.Summary.Accesses,
 		Hits:            res.Summary.Hits,

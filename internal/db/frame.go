@@ -9,7 +9,8 @@ package db
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"cachemind/internal/stats"
 	"cachemind/internal/symbols"
@@ -52,13 +53,19 @@ func Columns() []string {
 	}
 }
 
-// Frame is one (workload, policy) eviction-annotated trace plus indexes.
+// Frame is one (workload, policy) eviction-annotated trace plus indexes,
+// stored by column: one pointer-free slice per scalar field of
+// trace.Record, the sampled snapshot fields in a sparse side table, and
+// CSR row indexes per PC, per (PC, line address) and per set. Row i is
+// the stream's i-th access, so a record's Seq is its row number and is
+// not stored. Record reassembles a row for callers that want the
+// trace.Record view; the query executor and the statistical expert read
+// the columns.
 type Frame struct {
 	Workload string
 	Policy   string
 
-	records []trace.Record
-	syms    *symbols.Table
+	syms *symbols.Table
 
 	// Metadata is the whole-trace summary string in the paper's format.
 	Metadata string
@@ -68,16 +75,33 @@ type Frame struct {
 	// Summary holds the structured totals behind Metadata.
 	Summary FrameSummary
 
-	byPC     map[uint64][]int32
-	byPCAddr map[pcAddr][]int32
-	bySet    map[int][]int32
-	pcs      []uint64 // distinct PCs, sorted
-	sets     []int    // distinct sets, sorted
+	// Scalar columns, one entry per row.
+	pc            []uint64
+	addr          []uint64
+	set           []int32
+	hit           []bool
+	missType      []uint8
+	evictedAddr   []uint64
+	accessReuse   []int64
+	evictedReuse  []int64
+	recency       []int64
+	wrongEviction []bool
+
+	// snapRows lists, ascending, the rows carrying snapshot fields
+	// (every SnapshotEvery-th row); snaps[k] belongs to snapRows[k].
+	snapRows []int32
+	snaps    []snapshot
+
+	byPC     index[uint64]
+	byPCAddr addrIndex
+	bySet    index[int32]
 }
 
-type pcAddr struct {
-	pc   uint64
-	addr uint64
+// snapshot holds one row's heavyweight, sampled fields.
+type snapshot struct {
+	resident []trace.LineRef
+	history  []trace.LineRef
+	scores   []float64
 }
 
 // FrameSummary mirrors replay.Summary without importing it (db consumes
@@ -102,35 +126,63 @@ func Key(workload, policy string) string {
 	return workload + "_evictions_" + policy
 }
 
-// NewFrame indexes records into a frame. The caller supplies the symbol
-// table so PC-level metadata columns resolve.
-func NewFrame(workloadName, policyName string, records []trace.Record, syms *symbols.Table, sum FrameSummary, description string) *Frame {
+// NewFrame stores records by column and indexes them. Row i must be the
+// stream's i-th access (Seq == i), as replay.Run produces; records the
+// columnar layout cannot hold exactly are rejected. The caller supplies
+// the symbol table so PC-level metadata columns resolve; records is not
+// retained.
+func NewFrame(workloadName, policyName string, records []trace.Record, syms *symbols.Table, sum FrameSummary, description string) (*Frame, error) {
+	if len(records) > math.MaxInt32 {
+		return nil, fmt.Errorf("db: %d records exceed the int32 row index", len(records))
+	}
+	n := len(records)
 	f := &Frame{
-		Workload:    workloadName,
-		Policy:      policyName,
-		records:     records,
-		syms:        syms,
-		Summary:     sum,
-		Description: description,
-		byPC:        map[uint64][]int32{},
-		byPCAddr:    map[pcAddr][]int32{},
-		bySet:       map[int][]int32{},
+		Workload:      workloadName,
+		Policy:        policyName,
+		syms:          syms,
+		Summary:       sum,
+		Description:   description,
+		Metadata:      formatMetadata(sum),
+		pc:            make([]uint64, n),
+		addr:          make([]uint64, n),
+		set:           make([]int32, n),
+		hit:           make([]bool, n),
+		missType:      make([]uint8, n),
+		evictedAddr:   make([]uint64, n),
+		accessReuse:   make([]int64, n),
+		evictedReuse:  make([]int64, n),
+		recency:       make([]int64, n),
+		wrongEviction: make([]bool, n),
 	}
-	for i, r := range records {
-		f.byPC[r.PC] = append(f.byPC[r.PC], int32(i))
-		f.byPCAddr[pcAddr{r.PC, r.Addr}] = append(f.byPCAddr[pcAddr{r.PC, r.Addr}], int32(i))
-		f.bySet[r.Set] = append(f.bySet[r.Set], int32(i))
+	for i := range records {
+		r := &records[i]
+		switch {
+		case r.Seq != uint64(i):
+			return nil, fmt.Errorf("db: record %d has sequence number %d", i, r.Seq)
+		case r.Set < 0 || r.Set > math.MaxInt32:
+			return nil, fmt.Errorf("db: record %d has set %d outside the int32 column", i, r.Set)
+		case r.MissType < 0 || r.MissType > math.MaxUint8:
+			return nil, fmt.Errorf("db: record %d has miss type %d outside the uint8 column", i, r.MissType)
+		}
+		f.pc[i] = r.PC
+		f.addr[i] = r.Addr
+		f.set[i] = int32(r.Set)
+		f.hit[i] = r.Hit
+		f.missType[i] = uint8(r.MissType)
+		f.evictedAddr[i] = r.EvictedAddr
+		f.accessReuse[i] = r.AccessedReuseDist
+		f.evictedReuse[i] = r.EvictedReuseDist
+		f.recency[i] = r.Recency
+		f.wrongEviction[i] = r.WrongEviction
+		if r.ResidentLines != nil || r.RecentHistory != nil || r.EvictionScores != nil {
+			f.snapRows = append(f.snapRows, int32(i))
+			f.snaps = append(f.snaps, snapshot{r.ResidentLines, r.RecentHistory, r.EvictionScores})
+		}
 	}
-	for pc := range f.byPC {
-		f.pcs = append(f.pcs, pc)
-	}
-	sort.Slice(f.pcs, func(i, j int) bool { return f.pcs[i] < f.pcs[j] })
-	for s := range f.bySet {
-		f.sets = append(f.sets, s)
-	}
-	sort.Ints(f.sets)
-	f.Metadata = formatMetadata(sum)
-	return f
+	f.byPC = newIndex(f.pc)
+	f.byPCAddr = newAddrIndex(&f.byPC, f.addr)
+	f.bySet = newIndex(f.set)
+	return f, nil
 }
 
 // formatMetadata renders the paper's metadata string format.
@@ -147,32 +199,89 @@ func formatMetadata(s FrameSummary) string {
 }
 
 // Len returns the number of records.
-func (f *Frame) Len() int { return len(f.records) }
+func (f *Frame) Len() int { return len(f.pc) }
 
-// Record returns record i.
-func (f *Frame) Record(i int) trace.Record { return f.records[i] }
-
-// PCs returns all distinct PCs in ascending order.
-func (f *Frame) PCs() []uint64 { return append([]uint64(nil), f.pcs...) }
-
-// Sets returns all distinct cache sets touched, ascending.
-func (f *Frame) Sets() []int { return append([]int(nil), f.sets...) }
-
-// RowsForPC returns the record indices for pc (shared slice; do not
-// modify).
-func (f *Frame) RowsForPC(pc uint64) []int32 { return f.byPC[pc] }
-
-// RowsForPCAddr returns record indices matching both pc and the
-// line-aligned address.
-func (f *Frame) RowsForPCAddr(pc, addr uint64) []int32 {
-	return f.byPCAddr[pcAddr{pc, addr &^ uint64(trace.LineSize-1)}]
+// Record reassembles row i as a trace.Record. Its snapshot slices are
+// shared with the frame; do not modify them.
+func (f *Frame) Record(i int) trace.Record {
+	s := f.snapshot(i)
+	return trace.Record{
+		Seq:               uint64(i),
+		PC:                f.pc[i],
+		Addr:              f.addr[i],
+		Set:               int(f.set[i]),
+		Hit:               f.hit[i],
+		MissType:          trace.MissType(f.missType[i]),
+		EvictedAddr:       f.evictedAddr[i],
+		AccessedReuseDist: f.accessReuse[i],
+		EvictedReuseDist:  f.evictedReuse[i],
+		Recency:           f.recency[i],
+		WrongEviction:     f.wrongEviction[i],
+		ResidentLines:     s.resident,
+		RecentHistory:     s.history,
+		EvictionScores:    s.scores,
+	}
 }
 
-// RowsForSet returns record indices for one cache set.
-func (f *Frame) RowsForSet(set int) []int32 { return f.bySet[set] }
+// snapshot returns row i's sampled fields, all nil for unsampled rows.
+func (f *Frame) snapshot(i int) snapshot {
+	if k, ok := slices.BinarySearch(f.snapRows, int32(i)); ok {
+		return f.snaps[k]
+	}
+	return snapshot{}
+}
+
+// PCAt returns row i's program counter.
+func (f *Frame) PCAt(i int) uint64 { return f.pc[i] }
+
+// AddrAt returns row i's line-aligned address.
+func (f *Frame) AddrAt(i int) uint64 { return f.addr[i] }
+
+// SetAt returns row i's cache set.
+func (f *Frame) SetAt(i int) int { return int(f.set[i]) }
+
+// HitAt reports whether row i hit.
+func (f *Frame) HitAt(i int) bool { return f.hit[i] }
+
+// PCs returns all distinct PCs in ascending order.
+func (f *Frame) PCs() []uint64 { return slices.Clone(f.byPC.keys) }
+
+// Sets returns all distinct cache sets touched, ascending.
+func (f *Frame) Sets() []int {
+	out := make([]int, len(f.bySet.keys))
+	for k, s := range f.bySet.keys {
+		out[k] = int(s)
+	}
+	return out
+}
+
+// RowsForPC returns the record indices for pc, ascending (shared slice;
+// do not modify).
+func (f *Frame) RowsForPC(pc uint64) []int32 { return f.byPC.lookup(pc) }
+
+// RowsForPCAddr returns record indices matching both pc and the
+// line-aligned address, ascending.
+func (f *Frame) RowsForPCAddr(pc, addr uint64) []int32 {
+	p, ok := slices.BinarySearch(f.byPC.keys, pc)
+	if !ok {
+		return nil
+	}
+	return f.byPCAddr.lookup(p, addr&^uint64(trace.LineSize-1))
+}
+
+// RowsForSet returns record indices for one cache set, ascending.
+func (f *Frame) RowsForSet(set int) []int32 {
+	if set < 0 || set > math.MaxInt32 {
+		return nil
+	}
+	return f.bySet.lookup(int32(set))
+}
 
 // HasPC reports whether pc appears anywhere in the frame.
-func (f *Frame) HasPC(pc uint64) bool { return len(f.byPC[pc]) > 0 }
+func (f *Frame) HasPC(pc uint64) bool {
+	_, ok := slices.BinarySearch(f.byPC.keys, pc)
+	return ok
+}
 
 // Symbols returns the workload's symbol table.
 func (f *Frame) Symbols() *symbols.Table { return f.syms }
@@ -182,51 +291,52 @@ func (f *Frame) Symbols() *symbols.Table { return f.syms }
 // int64 for numeric distances, float64 slices for scores, bool-as-int
 // for is_miss. Unknown columns return an error.
 func (f *Frame) Value(col string, i int) (any, error) {
-	r := f.records[i]
+	pc := f.pc[i]
 	switch col {
 	case ColPC:
-		return r.PC, nil
+		return pc, nil
 	case ColAddr:
-		return r.Addr, nil
+		return f.addr[i], nil
 	case ColSet:
-		return r.Set, nil
+		return int(f.set[i]), nil
 	case ColEvict:
-		if r.Hit {
+		if f.hit[i] {
 			return "Cache Hit", nil
 		}
 		return "Cache Miss", nil
 	case ColMissType:
-		return r.MissType.String(), nil
+		return trace.MissType(f.missType[i]).String(), nil
 	case ColEvictedAddr:
-		return r.EvictedAddr, nil
+		return f.evictedAddr[i], nil
 	case ColRecency:
-		return trace.RecencyLabel(r.Recency), nil
+		return trace.RecencyLabel(f.recency[i]), nil
 	case ColAccessReuse, ColAccessReuseNum:
-		return r.AccessedReuseDist, nil
+		return f.accessReuse[i], nil
 	case ColEvictedReuse, ColEvictedReuseNum:
-		return r.EvictedReuseDist, nil
+		return f.evictedReuse[i], nil
 	case ColRecencyNum:
-		return r.Recency, nil
+		return f.recency[i], nil
 	case ColFunctionName:
-		return f.syms.NameAt(r.PC), nil
+		return f.syms.NameAt(pc), nil
 	case ColFunctionCode:
-		return f.syms.SourceAt(r.PC), nil
+		return f.syms.SourceAt(pc), nil
 	case ColAssembly:
-		return f.syms.Assembly(r.PC), nil
+		return f.syms.Assembly(pc), nil
 	case ColResidentLines:
-		return r.ResidentLines, nil
+		return f.snapshot(i).resident, nil
 	case ColRecentHistory:
-		return r.RecentHistory, nil
+		return f.snapshot(i).history, nil
 	case ColEvictionScores:
-		return r.EvictionScores, nil
+		return f.snapshot(i).scores, nil
 	case ColResidentAddrs:
-		addrs := make([]uint64, len(r.ResidentLines))
-		for j, l := range r.ResidentLines {
+		lines := f.snapshot(i).resident
+		addrs := make([]uint64, len(lines))
+		for j, l := range lines {
 			addrs[j] = l.Addr
 		}
 		return addrs, nil
 	case ColIsMiss:
-		if r.Hit {
+		if f.hit[i] {
 			return 0, nil
 		}
 		return 1, nil
@@ -235,35 +345,73 @@ func (f *Frame) Value(col string, i int) (any, error) {
 	}
 }
 
+// Numeric is a numeric column resolved once for a scan, so per-row
+// reads skip the column-name switch. The zero value is the non-numeric
+// column: every row reports ok=false.
+type Numeric struct {
+	kind numericKind
+	ints []int64 // reuse and recency columns
+	hit  []bool  // is_miss
+	set  []int32 // cache_set_id
+}
+
+type numericKind uint8
+
+const (
+	numNone    numericKind = iota
+	numReuse               // NoReuse rows are absent
+	numRecency             // first touches (negative) are absent
+	numIsMiss
+	numSet
+)
+
+// NumericColumn resolves col for aggregation: the reuse distances, the
+// recency, is_miss and the set id qualify. Any other column resolves to
+// the zero Numeric, whose rows all report ok=false.
+func (f *Frame) NumericColumn(col string) Numeric {
+	switch col {
+	case ColAccessReuse, ColAccessReuseNum:
+		return Numeric{kind: numReuse, ints: f.accessReuse}
+	case ColEvictedReuse, ColEvictedReuseNum:
+		return Numeric{kind: numReuse, ints: f.evictedReuse}
+	case ColRecency, ColRecencyNum:
+		return Numeric{kind: numRecency, ints: f.recency}
+	case ColIsMiss:
+		return Numeric{kind: numIsMiss, hit: f.hit}
+	case ColSet:
+		return Numeric{kind: numSet, set: f.set}
+	default:
+		return Numeric{}
+	}
+}
+
+// At returns row i's value as a float64; sentinel rows (NoReuse reuse
+// distances, first-touch recencies) report ok=false so aggregations can
+// skip them.
+func (n Numeric) At(i int) (v float64, ok bool) {
+	switch n.kind {
+	case numReuse:
+		if d := n.ints[i]; d != trace.NoReuse {
+			return float64(d), true
+		}
+	case numRecency:
+		if d := n.ints[i]; d >= 0 {
+			return float64(d), true
+		}
+	case numIsMiss:
+		if n.hit[i] {
+			return 0, true
+		}
+		return 1, true
+	case numSet:
+		return float64(n.set[i]), true
+	}
+	return 0, false
+}
+
 // NumericValue returns the named column at row i as a float64, for
 // aggregation. Only numeric columns qualify; NoReuse sentinel values
 // report ok=false so aggregations can skip them.
 func (f *Frame) NumericValue(col string, i int) (v float64, ok bool) {
-	r := f.records[i]
-	switch col {
-	case ColAccessReuse, ColAccessReuseNum:
-		if r.AccessedReuseDist == trace.NoReuse {
-			return 0, false
-		}
-		return float64(r.AccessedReuseDist), true
-	case ColEvictedReuse, ColEvictedReuseNum:
-		if r.EvictedReuseDist == trace.NoReuse {
-			return 0, false
-		}
-		return float64(r.EvictedReuseDist), true
-	case ColRecency, ColRecencyNum:
-		if r.Recency < 0 {
-			return 0, false
-		}
-		return float64(r.Recency), true
-	case ColIsMiss:
-		if r.Hit {
-			return 0, true
-		}
-		return 1, true
-	case ColSet:
-		return float64(r.Set), true
-	default:
-		return 0, false
-	}
+	return f.NumericColumn(col).At(i)
 }

@@ -27,7 +27,7 @@ type PCStats struct {
 // StatsForPC computes the statistical-expert digest for one PC. The
 // boolean result is false when the PC does not appear in the frame.
 func (f *Frame) StatsForPC(pc uint64) (PCStats, bool) {
-	rows := f.byPC[pc]
+	rows := f.byPC.lookup(pc)
 	if len(rows) == 0 {
 		return PCStats{}, false
 	}
@@ -35,24 +35,23 @@ func (f *Frame) StatsForPC(pc uint64) (PCStats, bool) {
 	var accessReuse, evictedReuse []float64
 	dead, wrong := 0, 0
 	for _, i := range rows {
-		r := f.records[i]
 		st.Accesses++
-		if r.Hit {
+		if f.hit[i] {
 			st.Hits++
 		} else {
 			st.Misses++
 		}
-		if r.AccessedReuseDist == trace.NoReuse {
+		if d := f.accessReuse[i]; d == trace.NoReuse {
 			dead++
 		} else {
-			accessReuse = append(accessReuse, float64(r.AccessedReuseDist))
+			accessReuse = append(accessReuse, float64(d))
 		}
-		if r.EvictedAddr != 0 {
+		if f.evictedAddr[i] != 0 {
 			st.Evictions++
-			if r.EvictedReuseDist != trace.NoReuse {
-				evictedReuse = append(evictedReuse, float64(r.EvictedReuseDist))
+			if d := f.evictedReuse[i]; d != trace.NoReuse {
+				evictedReuse = append(evictedReuse, float64(d))
 			}
-			if r.WrongEviction {
+			if f.wrongEviction[i] {
 				wrong++
 			}
 		}
@@ -69,8 +68,8 @@ func (f *Frame) StatsForPC(pc uint64) (PCStats, bool) {
 
 // AllPCStats returns the digest for every PC, ascending by PC.
 func (f *Frame) AllPCStats() []PCStats {
-	out := make([]PCStats, 0, len(f.pcs))
-	for _, pc := range f.pcs {
+	out := make([]PCStats, 0, len(f.byPC.keys))
+	for _, pc := range f.byPC.keys {
 		st, _ := f.StatsForPC(pc)
 		out = append(out, st)
 	}
@@ -90,14 +89,14 @@ type SetStats struct {
 // StatsForSet computes per-set hit statistics; ok is false for sets the
 // trace never touched.
 func (f *Frame) StatsForSet(set int) (SetStats, bool) {
-	rows := f.bySet[set]
+	rows := f.RowsForSet(set)
 	if len(rows) == 0 {
 		return SetStats{}, false
 	}
 	st := SetStats{Set: set}
 	for _, i := range rows {
 		st.Accesses++
-		if f.records[i].Hit {
+		if f.hit[i] {
 			st.Hits++
 		} else {
 			st.Misses++
@@ -110,9 +109,9 @@ func (f *Frame) StatsForSet(set int) (SetStats, bool) {
 // AllSetStats returns per-set statistics for every touched set,
 // ascending by set index.
 func (f *Frame) AllSetStats() []SetStats {
-	out := make([]SetStats, 0, len(f.sets))
-	for _, s := range f.sets {
-		st, _ := f.StatsForSet(s)
+	out := make([]SetStats, 0, len(f.bySet.keys))
+	for _, s := range f.bySet.keys {
+		st, _ := f.StatsForSet(int(s))
 		out = append(out, st)
 	}
 	return out

@@ -9,8 +9,11 @@ import (
 	"cachemind/internal/workload"
 )
 
-// frameDTO is the gob wire form of a frame. Symbol tables are not
-// serialized; they are reattached from the workload registry on load.
+// frameDTO is the gob wire form of a frame: whole records, the format
+// persistVersion 1 has always had, so existing store files load and
+// Save stays byte-identical whatever the in-memory layout. Symbol
+// tables are not serialized; they are reattached from the workload
+// registry on load.
 type frameDTO struct {
 	Workload    string
 	Policy      string
@@ -27,7 +30,8 @@ type storeDTO struct {
 // persistVersion guards the wire format.
 const persistVersion = 1
 
-// Save writes the store to w in gob format.
+// Save writes the store to w in gob format, reassembling every frame's
+// records for the encoder.
 func (s *Store) Save(w io.Writer) error {
 	dto := storeDTO{Version: persistVersion}
 	for _, key := range s.Keys() {
@@ -35,7 +39,7 @@ func (s *Store) Save(w io.Writer) error {
 		dto.Frames = append(dto.Frames, frameDTO{
 			Workload:    f.Workload,
 			Policy:      f.Policy,
-			Records:     f.records,
+			Records:     f.records(),
 			Summary:     f.Summary,
 			Description: f.Description,
 		})
@@ -55,12 +59,26 @@ func Load(r io.Reader) (*Store, error) {
 		return nil, fmt.Errorf("db: unsupported store version %d (want %d)", dto.Version, persistVersion)
 	}
 	s := NewStore()
-	for _, fd := range dto.Frames {
+	for k, fd := range dto.Frames {
 		w, ok := workload.ByName(fd.Workload)
 		if !ok {
 			return nil, fmt.Errorf("db: stored frame references unknown workload %q", fd.Workload)
 		}
-		s.Put(NewFrame(fd.Workload, fd.Policy, fd.Records, w.Symbols(), fd.Summary, fd.Description))
+		f, err := NewFrame(fd.Workload, fd.Policy, fd.Records, w.Symbols(), fd.Summary, fd.Description)
+		if err != nil {
+			return nil, fmt.Errorf("db: stored frame %s: %w", Key(fd.Workload, fd.Policy), err)
+		}
+		s.Put(f)
+		dto.Frames[k].Records = nil // the columns hold it now
 	}
 	return s, nil
+}
+
+// records reassembles every row, in order.
+func (f *Frame) records() []trace.Record {
+	out := make([]trace.Record, f.Len())
+	for i := range out {
+		out[i] = f.Record(i)
+	}
+	return out
 }

@@ -80,7 +80,12 @@ func normalize(v Vector) Vector {
 // clamped to [-1, 1]: float32 rounding can push the dot of a vector
 // with itself a hair past 1, and callers treat the score as a true
 // cosine (e.g. comparing against a 1.0 threshold).
-func Cosine(a, b Vector) float64 {
+func Cosine(a, b Vector) float64 { return cosine(&a, &b) }
+
+// cosine is Cosine over pointers: the index scans call it once per
+// resident vector, and passing two 512-byte arrays by value would copy
+// both on every call.
+func cosine(a, b *Vector) float64 {
 	var dot float64
 	for i := range a {
 		dot += float64(a[i]) * float64(b[i])
@@ -168,7 +173,7 @@ func (ix *Index) TopK(query string, k int) []Match {
 	q := Embed(query)
 	matches := make([]Match, len(ix.ids))
 	for i, id := range ix.ids {
-		matches[i] = Match{ID: id, Score: Cosine(q, ix.vecs[i])}
+		matches[i] = Match{ID: id, Score: cosine(&q, &ix.vecs[i])}
 	}
 	sort.Slice(matches, func(i, j int) bool {
 		if matches[i].Score != matches[j].Score {
@@ -200,11 +205,41 @@ func (ix *Index) BestVec(q Vector) (Match, bool) {
 		return Match{}, false
 	}
 	best := Match{Score: math.Inf(-1)}
-	for i, id := range ix.ids {
-		score := Cosine(q, ix.vecs[i])
-		if score > best.Score || (score == best.Score && id < best.ID) {
-			best = Match{ID: id, Score: score}
+	var scores [4]float64
+	for i := 0; i < len(ix.vecs); i += len(scores) {
+		n := cosines(&q, ix.vecs[i:], &scores)
+		for j, score := range scores[:n] {
+			if id := ix.ids[i+j]; score > best.Score || (score == best.Score && id < best.ID) {
+				best = Match{ID: id, Score: score}
+			}
 		}
 	}
 	return best, true
+}
+
+// cosines scores q against the first four vectors of vs (fewer at the
+// end of the index) into scores and returns how many it scored. Each
+// dot product keeps Cosine's summation order, so every score equals
+// Cosine's bit for bit; running four independent sums at once hides
+// the floating-point add latency that bounds a single one.
+func cosines(q *Vector, vs []Vector, scores *[4]float64) int {
+	if len(vs) < len(scores) {
+		for j := range vs {
+			scores[j] = cosine(q, &vs[j])
+		}
+		return len(vs)
+	}
+	a, b, c, d := &vs[0], &vs[1], &vs[2], &vs[3]
+	var da, db, dc, dd float64
+	for i := range q {
+		x := float64(q[i])
+		da += x * float64(a[i])
+		db += x * float64(b[i])
+		dc += x * float64(c[i])
+		dd += x * float64(d[i])
+	}
+	for j, dot := range [4]float64{da, db, dc, dd} {
+		scores[j] = math.Max(-1, math.Min(1, dot))
+	}
+	return len(scores)
 }

@@ -246,3 +246,38 @@ func TestTopKDeterministicProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestBestVecMatchesCosineScan checks the four-at-a-time scan against
+// a plain Cosine loop: every score bit-identical, and the same best
+// match with ties broken by id, for index sizes around the block size.
+func TestBestVecMatchesCosineScan(t *testing.T) {
+	for n := 1; n <= 11; n++ {
+		ix := NewIndex()
+		for i := 0; i < n; i++ {
+			// Two ids share each text, so exact ties occur.
+			ix.AddVec(fmt.Sprintf("id%02d", i), Embed(fmt.Sprintf("miss rate of PC 0x40%x in mcf", i/2)))
+		}
+		q := Embed("what is the miss rate of PC 0x403 in mcf")
+		var scores [4]float64
+		for i := 0; i < n; i += len(scores) {
+			got := cosines(&q, ix.vecs[i:], &scores)
+			if want := min(len(scores), n-i); got != want {
+				t.Fatalf("n=%d at %d: scored %d vectors, want %d", n, i, got, want)
+			}
+			for j := 0; j < got; j++ {
+				if want := Cosine(q, ix.vecs[i+j]); math.Float64bits(scores[j]) != math.Float64bits(want) {
+					t.Fatalf("n=%d vector %d: score %v, Cosine %v", n, i+j, scores[j], want)
+				}
+			}
+		}
+		want := Match{Score: math.Inf(-1)}
+		for i, id := range ix.ids {
+			if s := Cosine(q, ix.vecs[i]); s > want.Score || (s == want.Score && id < want.ID) {
+				want = Match{ID: id, Score: s}
+			}
+		}
+		if got, _ := ix.BestVec(q); got != want {
+			t.Fatalf("n=%d: BestVec = %+v, plain scan %+v", n, got, want)
+		}
+	}
+}

@@ -720,17 +720,23 @@ func (e *Engine) cachedAsk(ctx context.Context, shard int, keyHash uint32, sc *a
 				}
 				return c.ans, TierExact, 0, nil
 			}
-			// The leader aborted (its context canceled). Retry with a
-			// fresh cache check — a later leader may have published by
-			// now — unless this caller is itself done.
+			// The leader aborted (its context canceled). Retry — the
+			// loop re-checks the cache, since a later leader may have
+			// published by now — unless this caller is itself done.
 			if err := ctxError(ctx); err != nil {
 				return Answer{}, TierCold, 0, err
 			}
-			if ans, ok := cache.peek(key); ok {
-				cache.exactHits.Add(1)
-				return ans, TierExact, 0, nil
-			}
 			continue
+		}
+		// No flight: a leader may still have published and retired
+		// between this ask's exact probe and here. Leaders publish
+		// before they retire, so a re-check under the flight lock
+		// always sees its answer, and a late arrival never runs the
+		// pipeline a second time.
+		if ans, ok := cache.peek(key); ok {
+			flight.mu.Unlock()
+			cache.exactHits.Add(1)
+			return ans, TierExact, 0, nil
 		}
 		//cachemind:allow-alloc once per cold leader; followers share this call record
 		c := &inflightCall{done: make(chan struct{})}

@@ -10,7 +10,9 @@ import (
 // "Allocation discipline" section of internal/engine's package docs):
 // a function annotated //cachemind:noalloc is part of the cached
 // exact-hit ask path, whose zero-allocs/op contract is pinned by
-// engine.TestCachedAskAllocs and the loadgen -max-allocs CI gate. The
+// engine.TestCachedAskAllocs and the loadgen -max-allocs CI gate, or
+// one of the query executor's scan kernels, whose constant allocation
+// count is pinned by queryir.TestScalarAggregationAllocs. The
 // analyzer flags the allocating constructs a careless edit is most
 // likely to introduce:
 //

@@ -23,6 +23,25 @@ type Options struct {
 	// Bypass, when non-nil, is installed as the cache's external
 	// insertion-bypass filter (the §6.3 bypass use case).
 	Bypass func(pc, lineAddr uint64) bool
+	// Annotations, when non-nil, are the stream's precomputed
+	// Annotate(accs) result, shared read-only by replays of one stream
+	// under several policies; nil computes them per run.
+	Annotations *Annotations
+}
+
+// Annotations are the per-stream ground truth a replay attaches to its
+// records. They depend on the access stream alone, not on the policy.
+type Annotations struct {
+	// NextUse is trace.NextUseOracle of the stream.
+	NextUse []int
+	// Reuse and Recency are trace.AnnotateReuse of the stream.
+	Reuse, Recency []int64
+}
+
+// Annotate computes a stream's Annotations.
+func Annotate(accs []trace.Access) Annotations {
+	reuse, recency := trace.AnnotateReuse(accs)
+	return Annotations{NextUse: trace.NextUseOracle(accs), Reuse: reuse, Recency: recency}
 }
 
 func (o Options) withDefaults() Options {
@@ -73,8 +92,12 @@ func Run(accs []trace.Access, cfg sim.Config, pol sim.ReplacementPolicy, opt Opt
 	opt = opt.withDefaults()
 	cache := sim.NewCache(cfg, pol)
 	cache.Bypass = opt.Bypass
-	oracle := trace.NextUseOracle(accs)
-	reuse, recency := trace.AnnotateReuse(accs)
+	ann := opt.Annotations
+	if ann == nil {
+		a := Annotate(accs)
+		ann = &a
+	}
+	oracle, reuse, recency := ann.NextUse, ann.Reuse, ann.Recency
 	capacityLines := int64(cfg.Lines())
 
 	records := make([]trace.Record, 0, len(accs))

@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -201,5 +202,18 @@ func TestReplayDeterministicProperty(t *testing.T) {
 	b := runLRU(t, accs, Options{})
 	if a.Summary != b.Summary {
 		t.Errorf("summaries differ: %+v vs %+v", a.Summary, b.Summary)
+	}
+}
+
+// TestSharedAnnotations checks that a replay given the stream's
+// precomputed annotations produces exactly the records of one that
+// computes its own.
+func TestSharedAnnotations(t *testing.T) {
+	accs := workload.LBM.Generate(6000, 3)
+	ann := Annotate(accs)
+	own := runLRU(t, accs, Options{})
+	shared := runLRU(t, accs, Options{Annotations: &ann})
+	if !reflect.DeepEqual(own, shared) {
+		t.Fatal("replay with shared annotations differs from one computing its own")
 	}
 }
