@@ -43,9 +43,9 @@ vet:
 	$(GO) vet ./...
 	$(GO) vet -tags race ./...
 
-# lint builds cachemindlint (internal/lint: six invariant-enforcing
+# lint builds cachemindlint (internal/lint: five invariant-enforcing
 # analysis passes — noalloc, determinism, ctxflow, lockscope,
-# seamlockstep, wirecodes; see ARCHITECTURE.md "Enforced invariants")
+# wirecodes; see ARCHITECTURE.md "Enforced invariants")
 # and runs it through go vet's -vettool protocol over every package,
 # twice for vet/race parity exactly like the stock `vet` target.
 lint:

@@ -818,7 +818,10 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "cachemind_answer_cache_hits_total %d\n", st.CacheHits)
 	// Tier-split hits: the aggregate and per-shard lines always sum to
 	// the corresponding hits_total, so the exact/semantic split is a
-	// partition of the same answered-ask count, never a re-count.
+	// partition of the same answered-ask count, never a re-count. The
+	// per-shard split has its own name (cachemind_cache_shard_hits_total)
+	// so that every name carries one label set and sum() over either
+	// name counts each hit once.
 	fmt.Fprintf(w, "cachemind_cache_hits_total{tier=\"exact\"} %d\n", st.CacheExactHits)
 	fmt.Fprintf(w, "cachemind_cache_hits_total{tier=\"semantic\"} %d\n", st.CacheSemanticHits)
 	fmt.Fprintf(w, "cachemind_answer_cache_misses_total %d\n", st.CacheMisses)
@@ -830,8 +833,8 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// hashed to, wherever the served neighbor resided.
 	for i, cs := range st.CacheShards {
 		fmt.Fprintf(w, "cachemind_answer_cache_shard_hits_total{shard=\"%d\"} %d\n", i, cs.Hits)
-		fmt.Fprintf(w, "cachemind_cache_hits_total{shard=\"%d\",tier=\"exact\"} %d\n", i, cs.ExactHits)
-		fmt.Fprintf(w, "cachemind_cache_hits_total{shard=\"%d\",tier=\"semantic\"} %d\n", i, cs.SemanticHits)
+		fmt.Fprintf(w, "cachemind_cache_shard_hits_total{shard=\"%d\",tier=\"exact\"} %d\n", i, cs.ExactHits)
+		fmt.Fprintf(w, "cachemind_cache_shard_hits_total{shard=\"%d\",tier=\"semantic\"} %d\n", i, cs.SemanticHits)
 		fmt.Fprintf(w, "cachemind_answer_cache_shard_misses_total{shard=\"%d\"} %d\n", i, cs.Misses)
 		fmt.Fprintf(w, "cachemind_answer_cache_shard_bypasses_total{shard=\"%d\"} %d\n", i, cs.Bypasses)
 		fmt.Fprintf(w, "cachemind_answer_cache_shard_entries{shard=\"%d\"} %d\n", i, cs.Entries)

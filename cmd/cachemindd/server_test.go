@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -238,8 +240,8 @@ func TestMetrics(t *testing.T) {
 		"cachemind_semantic_threshold 0.000",
 		`cachemind_cache_hits_total{tier="exact"} 1`,
 		`cachemind_cache_hits_total{tier="semantic"} 0`,
-		`cachemind_cache_hits_total{shard="0",tier="exact"}`,
-		`cachemind_cache_hits_total{shard="0",tier="semantic"}`,
+		`cachemind_cache_shard_hits_total{shard="0",tier="exact"}`,
+		`cachemind_cache_shard_hits_total{shard="0",tier="semantic"}`,
 		// Per-shard cache lines, one block per effective cache shard.
 		`cachemind_answer_cache_shard_hits_total{shard="0"}`,
 		`cachemind_answer_cache_shard_misses_total{shard="0"}`,
@@ -324,6 +326,95 @@ func TestMetricsPrefetchEnabled(t *testing.T) {
 		!strings.Contains(string(data), "cachemind_prefetch_issued_total") {
 		t.Fatalf("metrics missing prefetch counters:\n%s", data)
 	}
+}
+
+// TestMetricsOneLabelSetPerName parses the whole /metrics body of a
+// sharded daemon with the semantic tier on, after a cold ask, an exact
+// hit and a semantic hit. Every metric name must carry exactly one
+// label-key set — a name emitted both with and without a label
+// double-counts under sum() — and each hit-split family must sum to
+// cachemind_answer_cache_hits_total.
+func TestMetricsOneLabelSetPerName(t *testing.T) {
+	eng, err := engine.New(engine.Config{Store: testStore(t), SemanticThreshold: 0.85, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(newServer(eng, 4, 0, 0).handler())
+	t.Cleanup(ts.Close)
+	for _, q := range []string{askQuestion, askQuestion, strings.ToUpper(askQuestion)} {
+		if resp, data := postAsk(t, ts, fmt.Sprintf(`{"session":"m","question":%q}`, q)); resp.StatusCode != http.StatusOK {
+			t.Fatalf("ask %q: status %d, body %s", q, resp.StatusCode, data)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, _ := io.ReadAll(resp.Body)
+
+	labelSets := map[string]string{} // metric name -> sorted label keys
+	sums := map[string]float64{}     // metric name -> sum over its series
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		name, keys, value, err := parseMetricLine(line)
+		if err != nil {
+			t.Fatalf("unparseable metrics line %q: %v", line, err)
+		}
+		if prev, ok := labelSets[name]; ok && prev != keys {
+			t.Errorf("metric %s emitted with label sets {%s} and {%s}", name, prev, keys)
+		}
+		labelSets[name] = keys
+		sums[name] += value
+	}
+	total := sums["cachemind_answer_cache_hits_total"]
+	if total != 2 {
+		t.Fatalf("cachemind_answer_cache_hits_total = %v, want 2 (one exact, one semantic)", total)
+	}
+	for _, family := range []string{
+		"cachemind_cache_hits_total",
+		"cachemind_cache_shard_hits_total",
+		"cachemind_answer_cache_shard_hits_total",
+	} {
+		if sums[family] != total {
+			t.Errorf("sum(%s) = %v, want cachemind_answer_cache_hits_total %v", family, sums[family], total)
+		}
+	}
+}
+
+// parseMetricLine splits one text-exposition line into its metric
+// name, its label keys (sorted, comma-joined) and its value.
+func parseMetricLine(line string) (name, keys string, value float64, err error) {
+	sp := strings.LastIndexByte(line, ' ')
+	if sp < 0 {
+		return "", "", 0, fmt.Errorf("no value")
+	}
+	if value, err = strconv.ParseFloat(line[sp+1:], 64); err != nil {
+		return "", "", 0, err
+	}
+	series := line[:sp]
+	name, labels, hasLabels := strings.Cut(series, "{")
+	if !hasLabels {
+		return name, "", value, nil
+	}
+	labels, ok := strings.CutSuffix(labels, "}")
+	if !ok {
+		return "", "", 0, fmt.Errorf("unterminated label set")
+	}
+	var ks []string
+	for labels != "" {
+		key, rest, ok := strings.Cut(labels, "=")
+		if !ok {
+			return "", "", 0, fmt.Errorf("label without value")
+		}
+		quoted, err := strconv.QuotedPrefix(rest)
+		if err != nil {
+			return "", "", 0, err
+		}
+		ks = append(ks, key)
+		labels = strings.TrimPrefix(rest[len(quoted):], ",")
+	}
+	sort.Strings(ks)
+	return name, strings.Join(ks, ","), value, nil
 }
 
 // TestServeWithPaperCachePolicy: the daemon stack runs end-to-end over
@@ -760,7 +851,7 @@ func TestServeSemanticTier(t *testing.T) {
 	for _, want := range []string{
 		"cachemind_semantic_threshold 0.850",
 		`cachemind_cache_hits_total{tier="semantic"} 1`,
-		`cachemind_cache_hits_total{shard="0",tier="semantic"} 1`,
+		`cachemind_cache_shard_hits_total{shard="0",tier="semantic"} 1`,
 	} {
 		if !strings.Contains(string(mdata), want) {
 			t.Errorf("metrics missing %q:\n%s", want, mdata)

@@ -1,7 +1,7 @@
-// Command cachemindlint is the repository's invariant linter: six
+// Command cachemindlint is the repository's invariant linter: five
 // static-analysis passes (noalloc, determinism, ctxflow, lockscope,
-// seamlockstep, wirecodes — see internal/lint) compiled into a
-// `go vet -vettool=` compatible binary.
+// wirecodes — see internal/lint) compiled into a `go vet -vettool=`
+// compatible binary.
 //
 // Usage (what `make lint` runs):
 //

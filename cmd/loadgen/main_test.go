@@ -146,7 +146,7 @@ func TestRunReportSchemaStable(t *testing.T) {
 	if !ok {
 		t.Fatalf("latency_ms not an object: %s", data)
 	}
-	for _, key := range []string{"p50", "p95", "p99", "mean", "max"} {
+	for _, key := range []string{"p50", "p95", "p99", "mean", "max", "count"} {
 		if _, ok := lat[key]; !ok {
 			t.Errorf("latency_ms missing %q", key)
 		}
@@ -204,13 +204,18 @@ func TestRunWarmupExcludedFromTallies(t *testing.T) {
 // regression test for the bug -warmup exists to fix: without it, the
 // one-time cold-start asks (store-backed retrieval + generation) fold
 // into every percentile and drag the mean far above the steady-state
-// p95. With the whole plan warmed, every measured ask is a cache hit,
-// so the mean must land in the warmed distribution's own band:
-// p50*0.9 ≤ mean ≤ p95 (the 0.9 covers the histogram's ~9% bucket
-// resolution — mean is exact while p50 reads a bucket bound).
+// p95. With the whole plan warmed on a cached-heavy mix, the measured
+// histogram must hold exactly the measured requests — one observation
+// each, no warmup ask among them — and every one of them must be a
+// cache hit. The mean is bounded below by the warmed median (p50*0.9;
+// the 0.9 covers the histogram's ~9% bucket resolution — mean is exact
+// while p50 reads a bucket bound). It is not bounded above by p95: one
+// scheduler stall in an all-hit run of ~10µs asks can lift the mean
+// past p95 with nothing leaked, so the observation count guards that
+// side instead.
 func TestRunWarmedMeanBetweenPercentiles(t *testing.T) {
 	cfg := smokeConfig(t)
-	cfg.concurrency = 1 // serialize: no contention outliers in the band check
+	cfg.concurrency = 1
 	cfg.requests = 1000
 	cfg.warmup = 1000
 	cfg.repeat = 0.9 // cached-heavy mix
@@ -221,13 +226,16 @@ func TestRunWarmedMeanBetweenPercentiles(t *testing.T) {
 	if report.Errors != 0 {
 		t.Fatalf("errors = %d (%s)", report.Errors, report.ErrorSample)
 	}
-	if report.Cache.Misses != 0 {
-		t.Fatalf("warmed run missed %d times — the band check needs an all-hit run", report.Cache.Misses)
-	}
 	l := report.Latency
-	if l.Mean < l.P50*0.9 || l.Mean > l.P95 {
-		t.Fatalf("warmed mean %.4fms outside [p50*0.9=%.4f, p95=%.4f]ms — cold-start latency is leaking into the measured run",
-			l.Mean, l.P50*0.9, l.P95)
+	if l.Count != uint64(cfg.requests) || l.Count != uint64(report.Requests) {
+		t.Fatalf("measured histogram holds %d observations, want %d (requests %d) — warmup asks are leaking into the measured latency",
+			l.Count, cfg.requests, report.Requests)
+	}
+	if report.Cache.Misses != 0 {
+		t.Fatalf("warmed run missed %d times — the warmup should leave an all-hit run", report.Cache.Misses)
+	}
+	if l.Mean < l.P50*0.9 {
+		t.Fatalf("warmed mean %.4fms below p50*0.9=%.4fms", l.Mean, l.P50*0.9)
 	}
 }
 

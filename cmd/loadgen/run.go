@@ -266,13 +266,16 @@ type PolicyRow struct {
 }
 
 // LatencyMS summarizes the per-request latency histogram in
-// milliseconds (a request is one ask, or one whole batch).
+// milliseconds (a request is one ask, or one whole batch). Count is the
+// number of observations behind it: one per measured request, none for
+// a warmup ask.
 type LatencyMS struct {
-	P50  float64 `json:"p50"`
-	P95  float64 `json:"p95"`
-	P99  float64 `json:"p99"`
-	Mean float64 `json:"mean"`
-	Max  float64 `json:"max"`
+	P50   float64 `json:"p50"`
+	P95   float64 `json:"p95"`
+	P99   float64 `json:"p99"`
+	Mean  float64 `json:"mean"`
+	Max   float64 `json:"max"`
+	Count uint64  `json:"count"`
 }
 
 // CacheStats is the run's cache outcome. In-process runs read the
@@ -1036,11 +1039,12 @@ func runPass(cfg config, store *db.Store, plan *askPlan) (*Report, error) {
 		DurationSeconds:   elapsed.Seconds(),
 		ThroughputQPS:     throughput,
 		Latency: LatencyMS{
-			P50:  ms(snap.Quantile(0.50)),
-			P95:  ms(snap.Quantile(0.95)),
-			P99:  ms(snap.Quantile(0.99)),
-			Mean: ms(snap.Mean()),
-			Max:  ms(snap.Max),
+			P50:   ms(snap.Quantile(0.50)),
+			P95:   ms(snap.Quantile(0.95)),
+			P99:   ms(snap.Quantile(0.99)),
+			Mean:  ms(snap.Mean()),
+			Max:   ms(snap.Max),
+			Count: snap.Count,
 		},
 		Cache:              cache,
 		AnswerDigest:       foldDigest(digests),

@@ -8,37 +8,44 @@ import (
 )
 
 // TestCachedAskAllocs pins the allocation budget of the exact-hit fast
-// path: a cached ask with NoMemory (no session recording) must allocate
-// nothing — the key is built in pooled scratch, hashed once, and probed
-// zero-copy, and the cached answer is served without copying. This is
+// path under every eviction policy: a cached ask with NoMemory (no
+// session recording) must allocate nothing — the key is built in pooled
+// scratch, hashed once, and probed zero-copy, the policy observes the
+// hit through OnHitBytes, and the cached answer is served without
+// copying. This is
 // the unit-level half of the perf gate; cmd/loadgen enforces the same
 // budget end-to-end in CI via -max-allocs.
 func TestCachedAskAllocs(t *testing.T) {
-	e := newEngine(t, engine.Config{Shards: 4})
-	ctx := context.Background()
-	req := engine.Request{
-		SessionID: "alloc",
-		Question:  questions[0],
-		Options:   engine.Options{NoMemory: true},
-	}
-	// Warm the cache (the first ask is a cold miss) and the scratch pool.
-	if _, err := e.Ask(ctx, req); err != nil {
-		t.Fatal(err)
-	}
+	for _, policy := range engine.CachePolicies() {
+		t.Run(policy, func(t *testing.T) {
+			e := newEngine(t, engine.Config{Shards: 4, CachePolicy: policy})
+			ctx := context.Background()
+			req := engine.Request{
+				SessionID: "alloc",
+				Question:  questions[0],
+				Options:   engine.Options{NoMemory: true},
+			}
+			// Warm the cache (the first ask is a cold miss) and the
+			// scratch pool.
+			if _, err := e.Ask(ctx, req); err != nil {
+				t.Fatal(err)
+			}
 
-	var resp engine.Response
-	var err error
-	allocs := testing.AllocsPerRun(200, func() {
-		resp, err = e.Ask(ctx, req)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Tier != engine.TierExact {
-		t.Fatalf("tier = %v, want exact hit", resp.Tier)
-	}
-	if allocs != 0 {
-		t.Fatalf("cached NoMemory ask allocated %.1f times per op, want 0", allocs)
+			var resp engine.Response
+			var err error
+			allocs := testing.AllocsPerRun(200, func() {
+				resp, err = e.Ask(ctx, req)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.Tier != engine.TierExact {
+				t.Fatalf("tier = %v, want exact hit", resp.Tier)
+			}
+			if allocs != 0 {
+				t.Fatalf("cached NoMemory ask under %s allocated %.1f times per op, want 0", policy, allocs)
+			}
+		})
 	}
 }
 

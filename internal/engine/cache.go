@@ -6,53 +6,20 @@ import (
 	"sync/atomic"
 
 	"cachemind/internal/embed"
+	"cachemind/internal/policy"
 )
 
-// evictionPolicy orders one answer-cache shard's resident keys and
-// picks eviction victims — the seam the paper's replacement-policy
-// suite plugs into (internal/policy.ForCache adapts any registered
-// simulator policy to this method set; the method sets are identical,
-// so a policy.CachePolicy satisfies evictionPolicy structurally).
-//
-// Contract — every call happens under the owning answerCache's mutex,
-// so implementations need no locking of their own:
-//
-//   - OnHit(key) observes a lookup hit on a resident key (or an
-//     overwrite of an existing entry) and refreshes its
-//     recency/priority state.
-//   - Victim(incoming) is called only when the cache is full and
-//     incoming is absent: the policy returns the resident key to
-//     evict, or bypass=true to request that incoming not be cached at
-//     all. On bypass=false the cache removes the victim and then calls
-//     OnInsert(incoming); the policy must stop tracking the victim
-//     when Victim returns.
-//   - OnInsert(key) observes the insertion of a new key, after any
-//     eviction.
-//
-// Eviction policies only ever decide which entries stay resident —
-// answers are pure functions of the cache key (see the package
-// comment), so no policy choice can change a single answer byte, only
-// hit/miss totals.
-//
-//cachemind:seam-hook
-type evictionPolicy interface {
-	Name() string
-	OnHit(key string)
-	OnInsert(key string)
-	Victim(incoming string) (victim string, bypass bool)
-}
-
-// lruList is the native LRU evictionPolicy: a recency list over the
-// resident keys, exactly the pre-bridge answer-cache semantics. It is
-// the Config.CachePolicy default, kept native (rather than routed
+// lruList is the native LRU policy.CachePolicy: a recency list over
+// the resident keys, exactly the pre-bridge answer-cache semantics. It
+// is the Config.CachePolicy default, kept native (rather than routed
 // through the simulator adapter) so the default ask path carries no
 // extra per-access state.
-//
-//cachemind:evictionpolicy
 type lruList struct {
 	ll *list.List // front = most recently used
 	at map[string]*list.Element
 }
+
+var _ policy.CachePolicy = (*lruList)(nil)
 
 func newLRUList() *lruList {
 	return &lruList{ll: list.New(), at: map[string]*list.Element{}}
@@ -68,7 +35,7 @@ func (p *lruList) OnHit(key string) {
 
 // OnHitBytes is OnHit for a key still in its pooled scratch bytes —
 // the map probe compiles to a zero-copy lookup, so the default
-// policy's hit path allocates nothing (see bytesHitter).
+// policy's hit path allocates nothing.
 //
 //cachemind:noalloc
 func (p *lruList) OnHitBytes(key []byte) {
@@ -77,18 +44,18 @@ func (p *lruList) OnHitBytes(key []byte) {
 	}
 }
 
-func (p *lruList) OnInsert(key string) {
-	p.at[key] = p.ll.PushFront(key)
-}
-
-// OnInsertPrefetch inserts key at the midpoint of the recency list —
-// the probationary position of a segmented LRU: a speculative prefetch
-// fill never displaces the proven-hot front half, but survives about
-// half a capacity's worth of demand churn, long enough to reach the
-// session turn it was predicted for, before aging out un-promoted. The
-// midpoint walk is O(len/2), paid only on background prefetch fills;
-// the demand path never runs it (see prefetchInserter).
-func (p *lruList) OnInsertPrefetch(key string) {
+// OnInsert puts a demand fill at the front of the recency list and a
+// prefetch fill at its midpoint — the probationary position of a
+// segmented LRU: a speculative fill never displaces the proven-hot
+// front half, but survives about half a capacity's worth of demand
+// churn, long enough to reach the session turn it was predicted for,
+// before aging out un-promoted. The midpoint walk is O(len/2), paid
+// only on background prefetch fills.
+func (p *lruList) OnInsert(key string, prefetch bool) {
+	if !prefetch {
+		p.at[key] = p.ll.PushFront(key)
+		return
+	}
 	el := p.ll.Back()
 	for i := p.ll.Len() / 2; i > 0 && el != nil; i-- {
 		el = el.Prev()
@@ -100,6 +67,9 @@ func (p *lruList) OnInsertPrefetch(key string) {
 	p.at[key] = p.ll.InsertAfter(key, el)
 }
 
+// Victim evicts the LRU tail for demand and prefetch fills alike: the
+// tail is the probationary segment's oldest entry either way, and the
+// probation itself is OnInsert's midpoint placement.
 func (p *lruList) Victim(string) (string, bool) {
 	oldest := p.ll.Back()
 	if oldest == nil {
@@ -112,19 +82,9 @@ func (p *lruList) Victim(string) (string, bool) {
 	return key, false
 }
 
-// VictimForPrefetch evicts for a speculative fill exactly as for a
-// demand fill: the LRU tail is the probationary segment's oldest entry
-// either way, and the probation itself is OnInsertPrefetch's midpoint
-// insertion — the victim side needs no extra caution. (The lockstep
-// lint requires every hook explicitly; behavior is identical to the
-// previous implicit Victim fallback.)
-func (p *lruList) VictimForPrefetch(incoming string) (string, bool) {
-	return p.Victim(incoming)
-}
-
 // answerCache is one shard of the bounded answer cache: a capacity-
-// bounded key→Answer map whose residency is ordered by an
-// evictionPolicy. Keys are the full (retriever, model, question)
+// bounded key→Answer map whose residency is ordered by a
+// policy.CachePolicy. Keys are the full (retriever, model, question)
 // triple rendered by cacheKey, so an engine swap of retriever or
 // backend can never serve a stale entry even if a cache were shared.
 // All methods are safe for concurrent use.
@@ -146,50 +106,12 @@ func (p *lruList) VictimForPrefetch(incoming string) (string, bool) {
 // (exact vs semantic); a shard's semantic counter advances on the
 // shard the *query* hashed to, matching Response.Shard, even when the
 // served neighbor resides elsewhere.
-// bytesHitter is the optional allocation-free half of evictionPolicy:
-// a policy that can observe a hit from the key's pooled scratch bytes
-// without forcing the caller to materialize a heap string. The native
-// LRU implements it; adapter-backed policies fall back to OnHit with a
-// converted key (one allocation per hit, off the default path).
-//
-//cachemind:seam-hook
-type bytesHitter interface {
-	OnHitBytes(key []byte)
-}
-
-// prefetchInserter is the optional low-priority half of evictionPolicy:
-// a policy that wants to see speculative prefetch fills as a distinct
-// insertion class (exactly the distinction SHiP/RRIP draw between
-// demand and prefetch fills in the simulator) implements it; the cache
-// falls back to plain OnInsert otherwise. The native LRU implements it
-// by inserting at the recency list's midpoint (segmented-LRU
-// probation); internal/policy's adapter implements it by setting
-// sim.AccessInfo.Prefetch on the fill.
-//
-//cachemind:seam-hook
-type prefetchInserter interface {
-	OnInsertPrefetch(key string)
-}
-
-// prefetchVictimer is prefetchInserter's eviction-side twin: the
-// victim choice for a prefetch fill, so bypass-capable policies can
-// refuse speculative insertions more aggressively than demand ones.
-// Falls back to plain Victim.
-//
-//cachemind:seam-hook
-type prefetchVictimer interface {
-	VictimForPrefetch(incoming string) (victim string, bypass bool)
-}
-
 type answerCache struct {
-	mu  sync.Mutex
-	cap int
-	pol evictionPolicy
-	// polBytes is pol's allocation-free hit path when it implements
-	// bytesHitter (resolved once at construction), nil otherwise.
-	polBytes bytesHitter
-	entries  map[string]Answer
-	idx      *embed.Index // nil unless the semantic tier is enabled
+	mu      sync.Mutex
+	cap     int
+	pol     policy.CachePolicy
+	entries map[string]Answer
+	idx     *embed.Index // nil unless the semantic tier is enabled
 
 	// prefetched marks resident entries that were inserted by a
 	// speculative prefetch fill and have not yet served a demand ask
@@ -211,7 +133,7 @@ type answerCache struct {
 // 1) whose eviction order is decided by pol. With semantic true the
 // shard also maintains the question-vector index the semantic tier
 // searches.
-func newAnswerCache(capacity int, pol evictionPolicy, semantic bool) *answerCache {
+func newAnswerCache(capacity int, pol policy.CachePolicy, semantic bool) *answerCache {
 	if capacity < 1 {
 		capacity = 1
 	}
@@ -219,9 +141,6 @@ func newAnswerCache(capacity int, pol evictionPolicy, semantic bool) *answerCach
 		cap:     capacity,
 		pol:     pol,
 		entries: map[string]Answer{},
-	}
-	if bh, ok := pol.(bytesHitter); ok {
-		c.polBytes = bh
 	}
 	if semantic {
 		c.idx = embed.NewIndex()
@@ -232,9 +151,9 @@ func newAnswerCache(capacity int, pol evictionPolicy, semantic bool) *answerCach
 // touch returns the cached answer for the key bytes and refreshes its
 // recency/priority state via the policy. The key arrives as the ask's
 // pooled scratch bytes: the entry probe is a zero-copy map lookup, and
-// a bytesHitter policy (the default LRU) observes the hit without a
-// string materialization, so an exact hit allocates nothing. It does
-// not count hits or misses — see the answerCache comment.
+// the policy observes the hit through OnHitBytes without a string
+// materialization, so an exact hit allocates nothing. It does not
+// count hits or misses — see the answerCache comment.
 //
 //cachemind:noalloc
 func (c *answerCache) touch(key []byte) (Answer, bool) {
@@ -256,12 +175,7 @@ func (c *answerCache) touch(key []byte) (Answer, bool) {
 			c.covered.Add(1)
 		}
 	}
-	if c.polBytes != nil {
-		c.polBytes.OnHitBytes(key)
-	} else {
-		//cachemind:allow-alloc non-bytesHitter policies are off the default path
-		c.pol.OnHit(string(key))
-	}
+	c.pol.OnHitBytes(key)
 	return ans, true
 }
 
@@ -300,19 +214,29 @@ func (c *answerCache) put(key string, ans Answer, vec *embed.Vector) {
 		}
 		return // idx already carries this key's vector
 	}
+	if !c.admit(key, ans, vec, false) {
+		c.bypasses.Add(1)
+	}
+}
+
+// admit inserts the absent key, evicting the policy's victim when the
+// cache is full, and reports false when the policy bypasses the
+// insertion instead. prefetch tells the policy's OnInsert the fill is
+// speculative. Caller holds c.mu.
+func (c *answerCache) admit(key string, ans Answer, vec *embed.Vector, prefetch bool) bool {
 	if len(c.entries) >= c.cap {
 		victim, bypass := c.pol.Victim(key)
 		if bypass {
-			c.bypasses.Add(1)
-			return
+			return false
 		}
 		c.evict(victim)
 	}
 	c.entries[key] = ans
-	c.pol.OnInsert(key)
+	c.pol.OnInsert(key, prefetch)
 	if c.idx != nil && vec != nil {
 		c.idx.AddVec(key, *vec)
 	}
+	return true
 }
 
 // evict removes victim from the entry map, the semantic index and the
@@ -331,46 +255,25 @@ func (c *answerCache) evict(victim string) {
 
 // putPrefetch stores a speculative prefetch fill under key, reporting
 // whether it landed. Unlike put it never refreshes an existing entry
-// (a resident key means the fill was redundant), routes the victim
-// choice and insertion through the policy's prefetch-aware methods
-// when it has them (prefetchVictimer/prefetchInserter — the native LRU
-// inserts at the LRU end; the simulator adapter marks
-// sim.AccessInfo.Prefetch), and marks the entry in the prefetched set
-// so its first demand serve counts covered. A policy bypass counts
-// wasted, not bypasses: bypasses tracks declined demand insertions.
+// (a resident key means the fill was redundant), tells the policy the
+// fill is speculative (the native LRU inserts at the recency midpoint),
+// and marks the entry in the prefetched set so its first demand serve
+// counts covered. A policy bypass counts wasted, not bypasses:
+// bypasses tracks declined demand insertions.
 func (c *answerCache) putPrefetch(key string, ans Answer, vec *embed.Vector) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.entries[key]; ok {
 		return false
 	}
-	if len(c.entries) >= c.cap {
-		var victim string
-		var bypass bool
-		if pv, ok := c.pol.(prefetchVictimer); ok {
-			victim, bypass = pv.VictimForPrefetch(key)
-		} else {
-			victim, bypass = c.pol.Victim(key)
-		}
-		if bypass {
-			c.wasted.Add(1)
-			return true // counted here; the fill does not double-count
-		}
-		c.evict(victim)
-	}
-	c.entries[key] = ans
-	if pi, ok := c.pol.(prefetchInserter); ok {
-		pi.OnInsertPrefetch(key)
-	} else {
-		c.pol.OnInsert(key)
+	if !c.admit(key, ans, vec, true) {
+		c.wasted.Add(1)
+		return true // counted here; the fill does not double-count
 	}
 	if c.prefetched == nil {
 		c.prefetched = map[string]struct{}{}
 	}
 	c.prefetched[key] = struct{}{}
-	if c.idx != nil && vec != nil {
-		c.idx.AddVec(key, *vec)
-	}
 	return true
 }
 

@@ -20,30 +20,29 @@ import (
 // non-blocking channel send toward the prefetcher — no locks shared
 // with workers, no allocations — so prefetch can never add latency or
 // allocations to the ask path (the 0-allocs/op gate holds with
-// prefetching enabled). All budget knobs below bound the *background*
-// side.
+// prefetching enabled). The budget knobs below, and the fixed
+// prefetchDegree and prefetchQueueDepth, bound the *background* side.
 type PrefetchConfig struct {
 	// Enabled turns the prefetcher on. Requires caching (CacheSize >= 0);
 	// New rejects the combination with caching disabled.
 	Enabled bool
-	// Degree is how many next questions are predicted (and at most
-	// issued) per observed ask. 0 selects 1; values above 4 are clamped
-	// to 4 (the predictor's Markov row width).
-	Degree int
 	// Workers is the background fill worker count. 0 selects 2.
 	Workers int
-	// QueueDepth bounds the observation queue between the ask path and
-	// the workers; when full, observations are dropped (counted in
-	// Stats.Prefetch.Dropped), never blocked on. 0 selects 1024.
-	QueueDepth int
 	// MaxFillsPerSec is the token-bucket rate cap on background pipeline
 	// executions — the prefetcher's work budget. 0 selects 256; negative
 	// disables the cap.
 	MaxFillsPerSec int
-	// Predictor overrides the predictor geometry (tables, history
-	// lengths, table sizes, seed). Zero fields take predict's defaults.
-	Predictor predict.Config
 }
+
+const (
+	// prefetchDegree is how many next questions are predicted (and at
+	// most issued) per observed ask.
+	prefetchDegree = 1
+	// prefetchQueueDepth bounds the observation queue between the ask
+	// path and the workers; when full, observations are dropped
+	// (counted in Stats.Prefetch.Dropped), never blocked on.
+	prefetchQueueDepth = 1024
+)
 
 // PrefetchStats is the prefetcher's counter snapshot (all zero when
 // disabled). CoveredMissRate-style derivations belong to consumers:
@@ -85,9 +84,8 @@ type prefetchObs struct {
 // workers. It is created by New when Config.Prefetch.Enabled and torn
 // down by Engine.Close.
 type prefetcher struct {
-	eng    *Engine
-	pred   *predict.Predictor
-	degree int
+	eng  *Engine
+	pred *predict.Predictor
 
 	obs   chan prefetchObs
 	stopc chan struct{}
@@ -113,34 +111,22 @@ type prefetcher struct {
 }
 
 func newPrefetcher(e *Engine, cfg PrefetchConfig) *prefetcher {
-	degree := cfg.Degree
-	if degree <= 0 {
-		degree = 1
-	}
-	if degree > 4 {
-		degree = 4
-	}
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = 2
-	}
-	depth := cfg.QueueDepth
-	if depth <= 0 {
-		depth = 1024
 	}
 	rate := float64(cfg.MaxFillsPerSec)
 	if cfg.MaxFillsPerSec == 0 {
 		rate = 256
 	}
 	p := &prefetcher{
-		eng:    e,
-		pred:   predict.New(cfg.Predictor),
-		degree: degree,
-		obs:    make(chan prefetchObs, depth),
-		stopc:  make(chan struct{}),
-		rate:   rate,
-		avail:  rate, // start full so short bursts (tests, smoke) fill immediately
-		last:   time.Now(),
+		eng:   e,
+		pred:  predict.New(predict.Config{}),
+		obs:   make(chan prefetchObs, prefetchQueueDepth),
+		stopc: make(chan struct{}),
+		rate:  rate,
+		avail: rate, // start full so short bursts (tests, smoke) fill immediately
+		last:  time.Now(),
 	}
 	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
@@ -191,7 +177,7 @@ func (p *prefetcher) worker() {
 		case <-p.stopc:
 			return
 		case o := <-p.obs:
-			preds := p.pred.Observe(o.sid, o.question, p.degree)
+			preds := p.pred.Observe(o.sid, o.question, prefetchDegree)
 			p.predictions.Add(uint64(len(preds)))
 			for _, q := range preds {
 				if !p.takeToken() {

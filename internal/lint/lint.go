@@ -32,13 +32,6 @@
 //     Unlock in the same function, and the held region may not
 //     contain channel sends or calls into the slow pipeline
 //     (Retrieve/Answer/AnalysisAnswer/Invoke) or HTTP round-trips.
-//   - seamlockstep — types annotated //cachemind:evictionpolicy must
-//     implement the full eviction-policy hook set, including the
-//     optional extension interfaces (OnHitBytes, OnInsertPrefetch,
-//     VictimForPrefetch), so a new seam hook breaks the build for
-//     every policy that ignores it. Interfaces annotated
-//     //cachemind:seam-hook cross-check the analyzer's hook table
-//     itself, so the table cannot silently go stale.
 //   - wirecodes    — every engine.Code constant must have an explicit
 //     case in the daemon's statusForCode table, an entry in its
 //     wireCodes metrics registry, and an appearance in the README's
@@ -115,7 +108,6 @@ var Analyzers = []*Analyzer{
 	DeterminismAnalyzer,
 	CtxFlowAnalyzer,
 	LockScopeAnalyzer,
-	SeamLockstepAnalyzer,
 	WireCodesAnalyzer,
 }
 
@@ -124,14 +116,12 @@ var Analyzers = []*Analyzer{
 // Directive spellings. A directive is a //cachemind:<verb> comment; the
 // verb may be followed by arguments (a scope word, a waiver reason).
 const (
-	dirNoAlloc       = "noalloc"        // on a function: allocation-free contract
-	dirAllowAlloc    = "allow-alloc"    // line waiver for noalloc
-	dirDeterministic = "deterministic"  // on a package clause: deterministic scope
-	dirAllowNonDet   = "allow-nondet"   // line waiver for determinism
-	dirAllowCtx      = "allow-ctx"      // line waiver for ctxflow
-	dirAllowLock     = "allow-lock"     // line waiver for lockscope
-	dirPolicyImpl    = "evictionpolicy" // on a type: full hook set required
-	dirSeamHook      = "seam-hook"      // on an interface: hook-table cross-check
+	dirNoAlloc       = "noalloc"       // on a function: allocation-free contract
+	dirAllowAlloc    = "allow-alloc"   // line waiver for noalloc
+	dirDeterministic = "deterministic" // on a package clause: deterministic scope
+	dirAllowNonDet   = "allow-nondet"  // line waiver for determinism
+	dirAllowCtx      = "allow-ctx"     // line waiver for ctxflow
+	dirAllowLock     = "allow-lock"    // line waiver for lockscope
 )
 
 const directivePrefix = "//cachemind:"

@@ -27,19 +27,15 @@ func TestLockScope(t *testing.T) {
 	linttest.Run(t, lint.LockScopeAnalyzer, "lockscope")
 }
 
-func TestSeamLockstep(t *testing.T) {
-	linttest.Run(t, lint.SeamLockstepAnalyzer, "seamlockstep")
-}
-
 func TestWireCodes(t *testing.T) {
 	linttest.Run(t, lint.WireCodesAnalyzer, "wirecodes_ok")
 	linttest.Run(t, lint.WireCodesAnalyzer, "wirecodes_bad")
 }
 
 // TestRegistry pins the suite composition: the driver runs exactly
-// these six passes.
+// these five passes.
 func TestRegistry(t *testing.T) {
-	want := []string{"noalloc", "determinism", "ctxflow", "lockscope", "seamlockstep", "wirecodes"}
+	want := []string{"noalloc", "determinism", "ctxflow", "lockscope", "wirecodes"}
 	if len(lint.Analyzers) != len(want) {
 		t.Fatalf("registry has %d analyzers, want %d", len(lint.Analyzers), len(want))
 	}

@@ -36,7 +36,7 @@ type Entities struct {
 const pcAddrBoundary = 0x1000000
 
 var (
-	hexRe = regexp.MustCompile(`0x[0-9a-fA-F]+`)
+	hexRe = regexp.MustCompile(`0x[0-9a-f]+`) // run on the lower-cased question
 	setRe = regexp.MustCompile(`(?i)\bsets?\s+(\d+)`)
 	numRe = regexp.MustCompile(`\b\d+(\.\d+)?\b`)
 )
@@ -67,7 +67,7 @@ func Extract(q string, vocab Vocabulary) Entities {
 	var e Entities
 	lower := strings.ToLower(q)
 
-	for _, m := range hexRe.FindAllString(q, -1) {
+	for _, m := range hexRe.FindAllString(lower, -1) {
 		v, err := strconv.ParseUint(m[2:], 16, 64)
 		if err != nil {
 			continue

@@ -10,29 +10,41 @@ import (
 
 // CachePolicy is the serving-side view of a replacement policy: a
 // key-addressed cache (the engine's answer cache) instead of a
-// set-associative address-addressed one. It is the adapter type
-// ForCache returns; internal/engine's evictionPolicy seam is the same
-// method set, so any CachePolicy can drive the sharded answer cache.
+// set-associative address-addressed one. It is the one eviction seam
+// internal/engine's answer cache drives: ForCache adapts every
+// registered online policy to it, and the engine's native LRU
+// implements it directly. Every hook is mandatory, so the compiler
+// checks that each implementation carries the whole set.
 //
 // Contract (callers serialize all calls — one answer-cache shard owns
 // one CachePolicy under its mutex):
 //
 //   - OnHit(key) observes a lookup hit on a resident key (or an
 //     overwrite of an existing entry) and refreshes its recency state.
+//     A non-resident key is a no-op.
+//   - OnHitBytes(key) is OnHit for a key still in the ask's pooled
+//     scratch bytes. It must not allocate: it is the cached exact-hit
+//     path, which is allocation-free under every policy.
 //   - Victim(incoming) is called only when the cache is full and
-//     incoming is absent. The policy returns the resident key to evict,
-//     or bypass=true to request that incoming not be cached at all
-//     (e.g. Mockingjay predicting reuse beyond every resident line's
-//     horizon). When bypass is false the caller must evict the victim
-//     and then call OnInsert(incoming); the policy stops tracking the
-//     victim the moment Victim returns.
-//   - OnInsert(key) observes the insertion of a new key, into the way
-//     freed by the immediately preceding Victim call or into a free way
-//     when the cache is not yet full.
+//     incoming is absent. The policy returns the resident key to
+//     evict, or bypass=true to request that incoming not be cached at
+//     all (e.g. Mockingjay predicting reuse beyond every resident
+//     line's horizon). When bypass is false the caller must evict the
+//     victim and then call OnInsert(incoming, prefetch); the policy
+//     stops tracking the victim the moment Victim returns.
+//   - OnInsert(key, prefetch) observes the insertion of a new key, into
+//     the way freed by the immediately preceding Victim call or into a
+//     free way when the cache is not yet full.
+//
+// prefetch marks a speculative prefetch fill rather than a demand
+// fill. The native LRU inserts prefetch fills at its recency midpoint;
+// adapted policies place them like demand fills, since no registered
+// simulator policy reads sim.AccessInfo.Prefetch.
 type CachePolicy interface {
 	Name() string
 	OnHit(key string)
-	OnInsert(key string)
+	OnHitBytes(key []byte)
+	OnInsert(key string, prefetch bool)
 	Victim(incoming string) (victim string, bypass bool)
 }
 
@@ -89,6 +101,12 @@ func ForCache(name string, capacity int, seed int64) (CachePolicy, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newCacheAdapter(name, inner, capacity), nil
+}
+
+// newCacheAdapter wraps inner, a simulator policy built for a 1-set,
+// capacity-way geometry, as a CachePolicy named name.
+func newCacheAdapter(name string, inner sim.ReplacementPolicy, capacity int) *cacheAdapter {
 	a := &cacheAdapter{
 		name:   name,
 		inner:  inner,
@@ -103,7 +121,7 @@ func ForCache(name string, capacity int, seed int64) (CachePolicy, error) {
 	for w := capacity - 1; w >= 0; w-- {
 		a.free = append(a.free, w)
 	}
-	return a, nil
+	return a
 }
 
 // cacheAdapter translates the key-addressed CachePolicy calls into the
@@ -111,8 +129,6 @@ func ForCache(name string, capacity int, seed int64) (CachePolicy, error) {
 // a single fully-associative set, the access clock ticks once per
 // OnHit/insert, and keys are hashed into the address/PC features the
 // simulator policies consume.
-//
-//cachemind:evictionpolicy
 type cacheAdapter struct {
 	name  string
 	inner sim.ReplacementPolicy
@@ -127,15 +143,6 @@ type cacheAdapter struct {
 	pendingWay int
 	pendingKey string
 	hasPending bool
-
-	// prefetchNext marks the next access as a speculative prefetch fill
-	// (set by VictimForPrefetch/OnInsertPrefetch around the underlying
-	// call), surfaced to the simulator policy as AccessInfo.Prefetch —
-	// the same flag the offline machine sets on hardware-prefetch
-	// fills, so prefetch-aware policies (RRIP-family insertion depth,
-	// SHiP's signature training) treat live speculative fills exactly
-	// as they treat simulated ones.
-	prefetchNext bool
 
 	// shapes interns the PC feature per question shape — the
 	// (retriever, model, leading-word) substring every key of one intent
@@ -153,6 +160,8 @@ type cacheAdapter struct {
 // unbounded distinct leading words.
 const shapeMemoCap = 4096
 
+var _ CachePolicy = (*cacheAdapter)(nil)
+
 func (a *cacheAdapter) Name() string { return a.name }
 
 // fnv64a hashes s into h (FNV-1a), so multi-part hashes can chain.
@@ -168,18 +177,18 @@ func fnv64a(h uint64, s string) uint64 {
 const fnvOffset64 = 14695981039346656037
 
 // info builds the AccessInfo a policy sees for key at the current
-// clock. LineAddr identifies the exact entry (full-key hash). PC — the
-// feature the learned policies (SHiP, Hawkeye, Mockingjay, MLP) index
-// their predictors by — is the cache key's (retriever, model) prefix
-// plus the question's leading word: a question-shape proxy for the
-// program counter, so predictors generalize across questions of the
-// same intent instead of degenerating to per-key state.
+// clock. LineAddr
+// identifies the exact entry (full-key hash). PC — the feature the
+// learned policies (SHiP, Hawkeye, Mockingjay, MLP) index their
+// predictors by — is the cache key's (retriever, model) prefix plus the
+// question's leading word: a question-shape proxy for the program
+// counter, so predictors generalize across questions of the same
+// intent instead of degenerating to per-key state.
 func (a *cacheAdapter) info(key string) sim.AccessInfo {
 	return sim.AccessInfo{
 		Time:     a.clock,
 		PC:       a.pcFor(key),
 		LineAddr: fnv64a(fnvOffset64, key),
-		Prefetch: a.prefetchNext,
 	}
 }
 
@@ -222,14 +231,15 @@ func (a *cacheAdapter) OnHit(key string) {
 }
 
 // OnHitBytes observes a hit whose key is still in the ask's pooled
-// scratch bytes. The simulator protocol is string-addressed (way map,
-// PC features), so the adapter materializes the key — one allocation
-// per hit, which is why adapted policies sit off the default (native
-// LRU) path; the hook exists so the seam's full-lockstep contract
-// holds for every policy, with the cost documented here rather than
-// hidden in internal/engine's fallback.
+// scratch bytes. The way probe is a zero-copy map lookup, and the hit
+// is replayed under the resident key string the adapter already holds,
+// so no key is materialized.
+//
+//cachemind:noalloc
 func (a *cacheAdapter) OnHitBytes(key []byte) {
-	a.OnHit(string(key))
+	if w, ok := a.way[string(key)]; ok {
+		a.OnHit(a.keys[w])
+	}
 }
 
 func (a *cacheAdapter) Victim(incoming string) (string, bool) {
@@ -253,27 +263,8 @@ func (a *cacheAdapter) Victim(incoming string) (string, bool) {
 	return victim, false
 }
 
-// VictimForPrefetch is Victim for a speculative prefetch fill: the
-// underlying policy sees the access with AccessInfo.Prefetch set, so
-// bypass-capable policies can refuse speculative insertions on their
-// own terms. Satisfies internal/engine's prefetchVictimer seam.
-func (a *cacheAdapter) VictimForPrefetch(incoming string) (string, bool) {
-	a.prefetchNext = true
-	victim, bypass := a.Victim(incoming)
-	a.prefetchNext = false
-	return victim, bypass
-}
-
-// OnInsertPrefetch is OnInsert for a speculative prefetch fill, with
-// AccessInfo.Prefetch set on the fill the policy observes. Satisfies
-// internal/engine's prefetchInserter seam.
-func (a *cacheAdapter) OnInsertPrefetch(key string) {
-	a.prefetchNext = true
-	a.OnInsert(key)
-	a.prefetchNext = false
-}
-
-func (a *cacheAdapter) OnInsert(key string) {
+// OnInsert places prefetch and demand fills alike (see CachePolicy).
+func (a *cacheAdapter) OnInsert(key string, _ bool) {
 	var w int
 	var info sim.AccessInfo
 	if a.hasPending && a.pendingKey == key {

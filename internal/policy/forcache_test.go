@@ -45,7 +45,7 @@ func (c *fakeCache) access(key string) bool {
 		delete(c.resident, victim)
 	}
 	c.resident[key] = true
-	c.pol.OnInsert(key)
+	c.pol.OnInsert(key, false)
 	return false
 }
 
@@ -162,12 +162,12 @@ func TestForCacheCapacityClamp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol.OnInsert("a")
+	pol.OnInsert("a", false)
 	victim, bypass := pol.Victim("b")
 	if bypass || victim != "a" {
 		t.Fatalf("Victim = (%q, %v), want (\"a\", false)", victim, bypass)
 	}
-	pol.OnInsert("b")
+	pol.OnInsert("b", false)
 }
 
 // TestForCacheBypassPropagates: a policy whose Victim returns
