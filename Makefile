@@ -99,17 +99,19 @@ fuzz:
 # The run warms the cache first (-warmup, discarded from every measured
 # number) and then enforces thresholds, not just records them: a
 # throughput floor, a p99 ceiling, and an allocs/op budget on the cached
-# exact-hit ask. The levels carry ~2x headroom over a healthy run on the
-# CI runners — loose enough to ride out shared-runner noise, tight
-# enough that a real regression (a lost zero-alloc path, a serialized
-# shard) fails the gate instead of drifting into the trend line.
+# exact-hit ask with session memory on (the default path). The qps and
+# p99 levels carry ~2x headroom over a healthy run on the CI runners —
+# loose enough to ride out shared-runner noise, tight enough that a real
+# regression (a serialized shard) fails the gate instead of drifting
+# into the trend line; the 0.5 allocs budget asserts the default path
+# stays allocation-free.
 LOADGEN_N ?= 2000
 LOADGEN_C ?= 8
 LOADGEN_TIMEOUT ?= 10s
 LOADGEN_WARMUP ?= 256
 LOADGEN_MIN_QPS ?= 2000
 LOADGEN_MAX_P99_MS ?= 10
-LOADGEN_MAX_ALLOCS ?= 2
+LOADGEN_MAX_ALLOCS ?= 0.5
 loadgen:
 	$(GO) run ./cmd/loadgen -n $(LOADGEN_N) -c $(LOADGEN_C) -seed 42 -repeat 0.5 \
 		-paraphrase 0.3 -semantic-threshold 0.85 -warmup $(LOADGEN_WARMUP) \

@@ -241,10 +241,10 @@ func TestRunWarmedMeanBetweenPercentiles(t *testing.T) {
 
 // TestRunAllocProbe: an in-process run with the probe enabled reports
 // allocs_per_cached_ask, and the number agrees with the engine's
-// zero-allocation contract for the exact-hit NoMemory path — exactly 0,
-// under the same rounded-down averaging contract as
-// testing.AllocsPerRun (engine.TestCachedAskAllocs pins the same zero
-// at the unit level).
+// zero-allocation contract for the default exact-hit path (session
+// memory on) — exactly 0, under the same rounded-down averaging
+// contract as testing.AllocsPerRun (engine.TestCachedAskAllocsWithMemory
+// pins the same zero at the unit level).
 func TestRunAllocProbe(t *testing.T) {
 	cfg := smokeConfig(t)
 	cfg.measureAllocs = true

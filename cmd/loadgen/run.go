@@ -1070,25 +1070,25 @@ func runPass(cfg config, store *db.Store, plan *askPlan) (*Report, error) {
 }
 
 // measureCachedAskAllocs measures heap allocations per exact-hit cached
-// ask (NoMemory — the engine's documented zero-alloc fast path) on the
-// live engine, so a non-default eviction policy's hit-path cost shows
-// up too. The testing package's AllocsPerRun is unavailable outside
-// tests, so this replicates its method — pin to one P, prime, read the
-// Mallocs delta over a run burst, round the average down to an integer
-// exactly as AllocsPerRun documents (sub-1 noise is measurement
-// artifact, not per-op cost) — and takes the minimum over several
-// bursts: the probe runs right after a garbage-heavy load pass, so a
-// single burst can absorb ambient noise (a GC emptying the scratch
-// pools mid-burst, background sweeping) that per-ask cost accounting
-// must not include. The true per-op cost is a floor under every burst;
-// the minimum converges on it.
+// ask on the default path (session memory on, so each ask records a
+// turn in the probe's session) on the live engine, so a non-default
+// eviction policy's hit-path cost shows up too. The engine documents
+// this path as allocation-free in steady state; until the probe
+// session's turn log first compacts, its growth costs one allocation
+// per doubling, which the rounding below absorbs. The testing
+// package's AllocsPerRun is unavailable outside tests, so this
+// replicates its method — pin to one P, prime, read the Mallocs delta
+// over a run burst, round the average down to an integer exactly as
+// AllocsPerRun documents (sub-1 noise is measurement artifact, not
+// per-op cost) — and takes the minimum over several bursts: the probe
+// runs right after a garbage-heavy load pass, so a single burst can
+// absorb ambient noise (a GC emptying the scratch pools mid-burst,
+// background sweeping) that per-ask cost accounting must not include.
+// The true per-op cost is a floor under every burst; the minimum
+// converges on it.
 func measureCachedAskAllocs(eng *engine.Engine, question string) (float64, bool) {
 	ctx := context.Background()
-	req := engine.Request{
-		SessionID: "loadgen-alloc-probe",
-		Question:  question,
-		Options:   engine.Options{NoMemory: true},
-	}
+	req := engine.Request{SessionID: "loadgen-alloc-probe", Question: question}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	// Prime: ensure the answer is cached (the run normally already did)
 	// and the scratch pools are populated, so the measurement sees the

@@ -73,27 +73,39 @@ func TestCachedAskAllocsSemanticEnabled(t *testing.T) {
 	}
 }
 
-// TestCachedAskAllocsWithMemory bounds the full default path (session
-// recording on): the conversation memory's Add is inherently
-// allocating, but the cache lookup in front of it must not add to it.
-// The bound is the recording path's own cost with headroom — a
-// regression that reintroduces per-ask key or hash allocations trips it.
+// TestCachedAskAllocsWithMemory pins the full default path (session
+// recording on) at zero allocations in steady state: recording a turn
+// is one append into the session's turn log, whose backing array stops
+// growing once compaction has run. MaxSessionTurns: 1 compacts the log
+// on every recorded ask after the first, so the warm-up passes the
+// first compaction and every measured ask runs one — an allocating
+// compaction would cost a whole allocation per op, which
+// AllocsPerRun's rounded-down average cannot hide.
 func TestCachedAskAllocsWithMemory(t *testing.T) {
-	e := newEngine(t, engine.Config{Shards: 4})
+	const maxTurns, warm = 1, 3
+	e := newEngine(t, engine.Config{Shards: 4, MaxSessionTurns: maxTurns})
 	ctx := context.Background()
 	req := engine.Request{SessionID: "alloc-mem", Question: questions[2]}
-	if _, err := e.Ask(ctx, req); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
+	for i := 0; i < warm; i++ {
 		if _, err := e.Ask(ctx, req); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if turns, _ := e.SessionTurns(req.SessionID); len(turns) >= warm {
+		t.Fatalf("warm-up left %d turns: the session was never compacted", len(turns))
+	}
+	var resp engine.Response
+	var err error
+	allocs := testing.AllocsPerRun(200, func() {
+		resp, err = e.Ask(ctx, req)
 	})
-	// The record path (memory.Conversation.Add + turn log append) costs
-	// ~6 allocs/op today; 10 leaves headroom for the amortized turn-log
-	// growth without masking a hot-path regression.
-	if allocs > 10 {
-		t.Fatalf("cached recorded ask allocated %.1f times per op, want <= 10", allocs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Tier != engine.TierExact {
+		t.Fatalf("tier = %v, want exact hit", resp.Tier)
+	}
+	if allocs != 0 {
+		t.Fatalf("cached recorded ask allocated %.2f times per op, want 0", allocs)
 	}
 }

@@ -39,8 +39,10 @@
 //     fixed Shots; the engine keeps one memory-less generator shared by
 //     all sessions, which also makes every answer a pure function of
 //     (retriever, model, question).
-//   - memory.Conversation is not thread-safe; the engine owns one per
-//     session behind a per-session mutex.
+//   - A session's turn log is guarded by a per-session mutex; the
+//     conversation-memory view is rendered from a copy of the log
+//     (memory.ContextBlock, a pure function) after the lock is
+//     released.
 //
 // The purity of the generate step is what makes the answer cache sound:
 // a cached answer is byte-identical to the one a fresh retrieval would
@@ -112,10 +114,12 @@
 //
 // # Allocation discipline
 //
-// The cached exact-hit path is allocation-free: an Ask that is served
-// from the exact tier with Options.NoMemory performs zero heap
-// allocations (TestCachedAskAllocs pins this; cmd/loadgen's -max-allocs
-// gate enforces it end-to-end in CI). The mechanics, and the ownership
+// The cached exact-hit path is allocation-free in steady state, with
+// session memory on (the default) or off: an Ask served from the exact
+// tier performs zero heap allocations (TestCachedAskAllocsWithMemory
+// pins the default path, TestCachedAskAllocs the NoMemory path under
+// every eviction policy; cmd/loadgen's -max-allocs gate enforces the
+// default path end-to-end in CI). The mechanics, and the ownership
 // rules they impose:
 //
 //   - The (retriever, model, question) cache key is rendered into a
@@ -129,6 +133,14 @@
 //   - Cached answers are served without copying: Answer's fields are
 //     immutable once published (strings plus a Queries slice nobody
 //     mutates; Response.Queries is cloned only at ProvenanceFull).
+//   - Recording the turn is one append into the session's turn log,
+//     the only per-session state: the memory view is derived from the
+//     log on read, so nothing is embedded or summarized at write time.
+//     Compaction moves the survivors to the front of the same backing
+//     array, which therefore stops growing at 2*MaxSessionTurns turns.
+//     The two amortized allocations — a new session, and the log's
+//     growth to that size — carry allow-alloc waivers in session and
+//     record.
 //
 // Ownership: a scratch is owned by exactly one in-flight Ask between
 // pool Get and Put, and nothing that outlives the ask may alias its
@@ -194,10 +206,11 @@ type Config struct {
 	// is the daemon's memory ceiling.
 	MaxSessions int
 	// MaxSessionTurns bounds each session's retained history: when a
-	// session's log reaches twice this bound it is compacted to the
-	// most recent MaxSessionTurns turns and its conversation memory is
-	// rebuilt from the survivors (older turns fall out of recall). 0
-	// selects DefaultMaxSessionTurns, negative is unlimited.
+	// session's log reaches twice this bound it is compacted in place
+	// to the most recent MaxSessionTurns turns, so a log holds at most
+	// 2*MaxSessionTurns-1 turns. The conversation-memory view is
+	// derived from the log on read, so older turns fall out of recall
+	// with it. 0 selects DefaultMaxSessionTurns, negative is unlimited.
 	MaxSessionTurns int
 	// CacheSize bounds the answer cache: 0 selects DefaultCacheSize,
 	// negative disables caching entirely.
@@ -281,20 +294,19 @@ type Answer struct {
 	Generation time.Duration `json:"generation_ns,omitempty"`
 }
 
-// Turn is one question/answer exchange within a session. The JSON tags
-// are the daemon's GET /v1/sessions/{id} wire format.
-type Turn struct {
-	Question string `json:"question"`
-	Answer   string `json:"answer"`
-}
+// Turn is one question/answer exchange within a session. Its JSON tags
+// are the daemon's GET /v1/sessions/{id} wire format and the
+// cachemind-checkpoint/v1 session format.
+type Turn = memory.Turn
 
-// session is one conversation: its memory plus the turn log served by
-// GET /v1/sessions/{id}.
+// session is one conversation: its bounded turn log, the one copy of
+// its history. GET /v1/sessions/{id} serves the log, and the
+// conversation-memory view is rendered from it on read
+// (memory.ContextBlock).
 type session struct {
 	id string
 
 	mu    sync.Mutex
-	conv  *memory.Conversation
 	turns []Turn
 }
 
@@ -919,30 +931,43 @@ func queryTrace(rctx retriever.Context) []string {
 	return out
 }
 
-// record appends the exchange to the session log and conversation
-// memory, compacting the log at the retention bound.
+// record appends the exchange to the session log, compacting the log
+// at the retention bound. In steady state this is one append into the
+// log's reused backing array: a recorded cached ask allocates nothing.
+//
+//cachemind:noalloc
 func (e *Engine) record(sessionID, question, answer string) {
 	s := e.session(sessionID)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.conv.Add(question, answer)
+	//cachemind:allow-alloc amortized: the log's backing array grows until it holds 2*MaxSessionTurns turns, then is reused
 	s.turns = append(s.turns, Turn{Question: question, Answer: answer})
-	// Compact at twice the bound so the rebuild cost amortizes to O(1)
-	// per ask: keep the most recent maxTurns turns and regrow the
-	// conversation memory (and its vector index) from the survivors.
-	if e.maxTurns > 0 && len(s.turns) >= 2*e.maxTurns {
-		s.turns = append([]Turn(nil), s.turns[len(s.turns)-e.maxTurns:]...)
-		s.conv = memory.New(e.memoryTurns)
-		for _, t := range s.turns {
-			s.conv.Add(t.Question, t.Answer)
-		}
+	s.turns = compactTurns(s.turns, e.maxTurns)
+}
+
+// compactTurns applies the retention rule to a session log: once it
+// holds twice maxTurns turns (maxTurns > 0), only the most recent
+// maxTurns are kept. Compacting at twice the bound amortizes the copy
+// to O(1) per recorded turn. The survivors move to the front of the
+// same backing array and the vacated tail is cleared, so the dropped
+// turns' strings are released and later appends reuse the array.
+//
+//cachemind:noalloc
+func compactTurns(turns []Turn, maxTurns int) []Turn {
+	if maxTurns <= 0 || len(turns) < 2*maxTurns {
+		return turns
 	}
+	n := copy(turns, turns[len(turns)-maxTurns:])
+	clear(turns[n:])
+	return turns[:n]
 }
 
 // session returns the named session, creating it on first use and
 // marking it most recently used within its shard. When the shard's
 // session budget is exceeded, its least recently asked session is
-// evicted wholesale.
+// evicted wholesale. A live session's lookup allocates nothing.
+//
+//cachemind:noalloc
 func (e *Engine) session(id string) *session {
 	sh := e.sessionShards[shardIndex(id, len(e.sessionShards))]
 	sh.mu.Lock()
@@ -951,7 +976,8 @@ func (e *Engine) session(id string) *session {
 		sh.byRecency.MoveToFront(el)
 		return el.Value.(*session)
 	}
-	s := &session{id: id, conv: memory.New(e.memoryTurns)}
+	//cachemind:allow-alloc once per new session; the session and its recency entry live until eviction
+	s := &session{id: id}
 	sh.sessions[id] = sh.byRecency.PushFront(s)
 	for sh.max > 0 && sh.byRecency.Len() > sh.max {
 		oldest := sh.byRecency.Back()
@@ -983,40 +1009,46 @@ func (e *Engine) SessionTurns(id string) (turns []Turn, ok bool) {
 	if !ok {
 		return nil, false
 	}
+	return s.snapshot(), true
+}
+
+// snapshot copies the session's turn log under its lock. Views render
+// from the copy after the lock is released: rendering embeds every
+// retained turn, and a session's lock must never be held that long.
+func (s *session) snapshot() []Turn {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]Turn(nil), s.turns...), true
+	return append([]Turn(nil), s.turns...)
 }
 
 // SessionView returns the session's turn log and conversation-memory
-// view as one consistent snapshot (both read under the session lock) —
-// the source of GET /v1/sessions/{id}. A session that does not exist
-// (never asked, or evicted) yields a typed *Error with
+// view as one consistent snapshot (both derived from one copy of the
+// log) — the source of GET /v1/sessions/{id}. A session that does not
+// exist (never asked, or evicted) yields a typed *Error with
 // CodeSessionNotFound.
 func (e *Engine) SessionView(id, question string) (turns []Turn, mem string, err error) {
 	s, ok := e.lookup(id)
 	if !ok {
 		return nil, "", Errf(CodeSessionNotFound, "unknown session %q", id)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Turn(nil), s.turns...), s.conv.ContextBlock(question), nil
+	turns = s.snapshot()
+	return turns, memory.ContextBlock(turns, e.memoryTurns, question), nil
 }
 
 // SessionMemory renders the session's conversation-memory view —
-// summaries of turns evicted from the verbatim buffer, the buffered
-// recent turns, and (given a non-empty upcoming question) similarity
-// recalls — the inspectable state behind GET /v1/sessions/{id}.
-// Answers themselves are pure functions of the question (see the
-// package comment), so this memory never feeds back into generation.
+// summaries of turns older than the verbatim buffer, the buffered
+// recent turns, and (once any turn has left the buffer) similarity
+// recalls for the upcoming question — the inspectable state behind
+// GET /v1/sessions/{id}. It is derived from the turn log on every
+// call. Answers themselves are pure functions of the question (see
+// the package comment), so this memory never feeds back into
+// generation.
 func (e *Engine) SessionMemory(id, question string) (string, bool) {
 	s, ok := e.lookup(id)
 	if !ok {
 		return "", false
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.conv.ContextBlock(question), true
+	return memory.ContextBlock(s.snapshot(), e.memoryTurns, question), true
 }
 
 // SessionIDs lists every live session across all shards, sorted.

@@ -568,6 +568,43 @@ func TestSessionMemoryView(t *testing.T) {
 	}
 }
 
+// BenchmarkSessionView measures GET /v1/sessions/{id}'s engine side on
+// a full session at the default bound: 2*DefaultMaxSessionTurns-1
+// distinct turns of about 500 bytes, the most a session retains. The
+// memory view is derived from the turn log on read, so with an
+// upcoming question ("q") every distinct turn is embedded per view;
+// without one ("no-q") the query embeds to zero and recall skips the
+// embeddings.
+func BenchmarkSessionView(b *testing.B) {
+	e := newEngine(b, engine.Config{})
+	turns := make([]engine.Turn, 2*engine.DefaultMaxSessionTurns-1)
+	for i := range turns {
+		turns[i] = engine.Turn{
+			Question: fmt.Sprintf("What is the miss rate of PC 0x%06x in mcf under lru (turn %d)?", 0x400000+16*i, i),
+			Answer:   fmt.Sprintf("PC 0x%06x misses %d times in mcf under lru. ", 0x400000+16*i, i) + strings.Repeat("Its accesses stream through the set with little reuse. ", 7),
+		}
+	}
+	if e.ImportSessions([]engine.SessionSnapshot{{ID: "full", Turns: turns}}) != 1 {
+		b.Fatal("session import failed")
+	}
+	if got, _ := e.SessionTurns("full"); len(got) != len(turns) {
+		b.Fatalf("session holds %d turns, want %d", len(got), len(turns))
+	}
+	for _, bc := range []struct{ name, q string }{
+		{"q", "Which PC misses most in mcf under lru?"},
+		{"no-q", ""},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := e.SessionView("full", bc.q); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // TestEngineCacheEviction: with a 1-entry cache, alternating questions
 // never hit. Shards: 1 keeps the cache a single 1-entry LRU (each
 // shard keeps at least one entry, so more shards would widen it).

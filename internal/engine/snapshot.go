@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"cachemind/internal/embed"
-	"cachemind/internal/memory"
 )
 
 // This file is the engine's snapshot/restore seam — the mechanism
@@ -25,9 +24,8 @@ import (
 
 // SessionSnapshot is one session's durable state: its retained turn
 // log. Conversation memory is not serialized — it is a pure function
-// of the turn log (record rebuilds it the same way on compaction), so
-// ImportSessions regrows it from the turns, which keeps the wire
-// format independent of memory-internal representation changes.
+// of the turn log, rendered from it on every read — so the wire format
+// is independent of how the memory view is built.
 type SessionSnapshot struct {
 	ID    string `json:"id"`
 	Turns []Turn `json:"turns"`
@@ -82,21 +80,18 @@ func (e *Engine) ExportSessions() []SessionSnapshot {
 // were imported. A session that already exists locally with any
 // recorded turns is skipped — live state wins over a snapshot — so
 // importing is idempotent and a restart-restore can never roll back
-// turns recorded after the checkpoint. Imported logs are clamped to
-// the engine's MaxSessionTurns bound (most recent turns win) and the
-// conversation memory is rebuilt from the surviving turns, exactly as
-// record's compaction does; session creation goes through the normal
-// MaxSessions admission, so a snapshot larger than the budget evicts
-// by recency like any other session flood.
+// turns recorded after the checkpoint. An imported log goes through
+// the same retention rule as record (compactTurns), so a log this
+// engine could have recorded — up to 2*MaxSessionTurns-1 turns — is
+// restored whole, and the conversation-memory view, derived from the
+// log on read, matches the exporter's. Session creation goes through
+// the normal MaxSessions admission, so a snapshot larger than the
+// budget evicts by recency like any other session flood.
 func (e *Engine) ImportSessions(snaps []SessionSnapshot) int {
 	imported := 0
 	for _, snap := range snaps {
 		if snap.ID == "" || len(snap.Turns) == 0 {
 			continue
-		}
-		turns := snap.Turns
-		if e.maxTurns > 0 && len(turns) > e.maxTurns {
-			turns = turns[len(turns)-e.maxTurns:]
 		}
 		s := e.session(snap.ID)
 		s.mu.Lock()
@@ -104,11 +99,7 @@ func (e *Engine) ImportSessions(snaps []SessionSnapshot) int {
 			s.mu.Unlock()
 			continue
 		}
-		s.turns = append([]Turn(nil), turns...)
-		s.conv = memory.New(e.memoryTurns)
-		for _, t := range s.turns {
-			s.conv.Add(t.Question, t.Answer)
-		}
+		s.turns = compactTurns(append([]Turn(nil), snap.Turns...), e.maxTurns)
 		s.mu.Unlock()
 		imported++
 	}

@@ -8,25 +8,38 @@ import (
 	"cachemind/internal/engine"
 )
 
+// TestExportImportSessionsRoundTrip: every session an engine can hold
+// restores whole, with an identical memory view — including a log
+// longer than MaxSessionTurns, which record keeps until it reaches
+// twice the bound.
 func TestExportImportSessionsRoundTrip(t *testing.T) {
-	src := newEngine(t, engine.Config{})
+	const maxTurns = 4
+	cfg := engine.Config{MaxSessionTurns: maxTurns}
+	src := newEngine(t, cfg)
 	for i, q := range questions[:3] {
 		mustAsk(t, src, fmt.Sprintf("sess-%d", i), q)
 		mustAsk(t, src, fmt.Sprintf("sess-%d", i), questions[3])
 	}
+	// Between the bound and twice the bound: never compacted.
+	for i := 0; i < maxTurns+2; i++ {
+		mustAsk(t, src, "sess-long", questions[i%len(questions)])
+	}
 	snaps := src.ExportSessions()
-	if len(snaps) != 3 {
-		t.Fatalf("exported %d sessions, want 3", len(snaps))
+	if len(snaps) != 4 {
+		t.Fatalf("exported %d sessions, want 4", len(snaps))
 	}
 	for i := 1; i < len(snaps); i++ {
 		if snaps[i-1].ID >= snaps[i].ID {
 			t.Fatal("export not sorted by session ID")
 		}
 	}
+	if n := len(snaps[3].Turns); snaps[3].ID != "sess-long" || n != maxTurns+2 {
+		t.Fatalf("snapshot %s holds %d turns, want sess-long with %d", snaps[3].ID, n, maxTurns+2)
+	}
 
-	dst := newEngine(t, engine.Config{})
-	if got := dst.ImportSessions(snaps); got != 3 {
-		t.Fatalf("imported %d, want 3", got)
+	dst := newEngine(t, cfg)
+	if got := dst.ImportSessions(snaps); got != 4 {
+		t.Fatalf("imported %d, want 4", got)
 	}
 	for _, snap := range snaps {
 		turns, ok := dst.SessionTurns(snap.ID)
@@ -65,6 +78,8 @@ func TestImportSessionsNeverClobbersLiveState(t *testing.T) {
 	}
 }
 
+// TestImportSessionsClampsToMaxTurns: a log record could never have
+// kept (twice the bound or more) is compacted by record's own rule.
 func TestImportSessionsClampsToMaxTurns(t *testing.T) {
 	e := newEngine(t, engine.Config{MaxSessionTurns: 2})
 	turns := make([]engine.Turn, 5)

@@ -15,7 +15,10 @@ import (
 //   - channel sends — except non-blocking sends in a select with a
 //     default clause, the engine's sanctioned fire-and-forget idiom;
 //   - calls into the slow pipeline: Retrieve, Answer, AnalysisAnswer,
-//     Invoke — the retrieval/generation stages that take milliseconds;
+//     Invoke — the retrieval/generation stages that take milliseconds —
+//     and ContextBlock, which renders a conversation-memory view by
+//     embedding every turn of the log (milliseconds at the session
+//     bound; views copy the log under the lock and render outside it);
 //   - HTTP round-trips: net/http Do/Get/Post/PostForm/Head and any
 //     RoundTrip call.
 //
@@ -36,14 +39,16 @@ var LockScopeAnalyzer = &Analyzer{
 	Run:  runLockScope,
 }
 
-// slowCalleeNames are methods that enter the cold pipeline; holding a
-// shard lock across them serializes the cache behind generation.
+// slowCalleeNames are methods that enter the cold pipeline, or render
+// a memory view; holding a shard or session lock across them
+// serializes the cache or the session behind milliseconds of work.
 var slowCalleeNames = map[string]bool{
 	"Retrieve":       true,
 	"Answer":         true,
 	"AnalysisAnswer": true,
 	"Invoke":         true,
 	"RoundTrip":      true,
+	"ContextBlock":   true,
 }
 
 func runLockScope(pass *Pass) error {
@@ -208,7 +213,7 @@ func checkLockScopeFunc(pass *Pass, f *ast.File, fd *ast.FuncDecl) {
 			switch {
 			case slowCalleeNames[fn.Name()]:
 				if !pass.waived(f, node.Pos(), dirAllowLock) {
-					pass.Reportf(node.Pos(), "call to slow-pipeline method %s while a mutex is held in %s", fn.Name(), funcDisplayName(fd))
+					pass.Reportf(node.Pos(), "call to slow method %s while a mutex is held in %s", fn.Name(), funcDisplayName(fd))
 				}
 			case fn.Pkg() != nil && fn.Pkg().Path() == "net/http" && httpOutboundNames[fn.Name()]:
 				if !pass.waived(f, node.Pos(), dirAllowLock) {

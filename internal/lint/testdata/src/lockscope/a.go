@@ -8,6 +8,30 @@ type backend struct{}
 func (backend) Retrieve(q string) string { return q }
 func (backend) Answer(q string) string   { return q }
 
+// ContextBlock stands in for memory.ContextBlock: rendering a view
+// embeds every turn of the log.
+func ContextBlock(turns []string, q string) string { return q }
+
+type session struct {
+	mu    sync.Mutex
+	turns []string
+}
+
+// goodViewOutsideLock copies the log under the lock and renders the
+// copy after releasing it.
+func (s *session) goodViewOutsideLock(q string) string {
+	s.mu.Lock()
+	turns := append([]string(nil), s.turns...)
+	s.mu.Unlock()
+	return ContextBlock(turns, q)
+}
+
+func (s *session) badViewUnderLock(q string) string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return ContextBlock(s.turns, q) // want `call to slow method ContextBlock while a mutex is held`
+}
+
 type shard struct {
 	mu      sync.Mutex
 	entries map[string]string
@@ -60,7 +84,7 @@ func (s *shard) badSlowCallUnderLock(q string) string {
 	if cached, ok := s.entries[q]; ok {
 		return cached
 	}
-	return s.be.Retrieve(q) // want `call to slow-pipeline method Retrieve while a mutex is held`
+	return s.be.Retrieve(q) // want `call to slow method Retrieve while a mutex is held`
 }
 
 func (s *shard) badBlockingSendUnderLock(q, ans string) {
